@@ -43,7 +43,7 @@ struct PauseWindow {
 /// drawn from the same cycle, so with enough of each a node can be sick in
 /// both dimensions at once.
 struct DegradedFaultPlan {
-  /// Nodes given a slow-disk window (DegradedStore latency inflation).
+  /// Nodes given a slow-disk window (DeviceStore latency inflation).
   std::size_t slow_disk_nodes = 0;
   /// Window length in device op indices, beginning within [1, horizon].
   std::uint64_t slow_disk_ops = 64;

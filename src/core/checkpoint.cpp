@@ -2,7 +2,7 @@
 
 #include <fstream>
 
-#include "util/crc32.hpp"
+#include "storage/sealed_blob.hpp"
 #include "util/format.hpp"
 
 namespace mrts::core {
@@ -10,16 +10,17 @@ namespace {
 
 constexpr std::uint64_t kMagic = 0x4D52545343503031ull;  // "MRTSCP01"
 
+// Checkpoint files are sealed blobs (storage/sealed_blob.hpp): the image
+// followed by its CRC32, the same envelope the spill path uses.
 util::Status write_sealed_file(const std::filesystem::path& path,
-                               std::span<const std::byte> bytes) {
+                               util::ByteWriter&& image) {
+  const auto bytes = storage::seal_blob(std::move(image));
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return {util::StatusCode::kIoError, "cannot open " + path.string()};
   }
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
-  const std::uint32_t crc = util::crc32(bytes);
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
   out.flush();
   if (!out) {
     return {util::StatusCode::kIoError, "short write to " + path.string()};
@@ -27,6 +28,7 @@ util::Status write_sealed_file(const std::filesystem::path& path,
   return util::Status::ok();
 }
 
+/// Reads a sealed file and returns its verified image (seal stripped).
 util::Result<std::vector<std::byte>> read_sealed_file(
     const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -34,23 +36,20 @@ util::Result<std::vector<std::byte>> read_sealed_file(
     return util::Status(util::StatusCode::kNotFound,
                         "cannot open " + path.string());
   }
-  const auto total = static_cast<std::size_t>(in.tellg());
-  if (total < sizeof(std::uint32_t)) {
-    return util::Status(util::StatusCode::kCorruption, "file too short");
-  }
-  std::vector<std::byte> bytes(total - sizeof(std::uint32_t));
+  std::vector<std::byte> bytes(static_cast<std::size_t>(in.tellg()));
   in.seekg(0);
   in.read(reinterpret_cast<char*>(bytes.data()),
           static_cast<std::streamsize>(bytes.size()));
-  std::uint32_t crc = 0;
-  in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
   if (!in) {
     return util::Status(util::StatusCode::kIoError, "short read");
   }
-  if (util::crc32(bytes) != crc) {
+  auto image = storage::unseal_blob(bytes);
+  if (!image.is_ok()) {
     return util::Status(util::StatusCode::kCorruption,
-                        "checkpoint CRC mismatch: " + path.string());
+                        "checkpoint " + path.string() + ": " +
+                            image.status().message());
   }
+  bytes.resize(image.value().size());
   return bytes;
 }
 
@@ -74,8 +73,8 @@ util::Status checkpoint_cluster(Cluster& cluster,
     w.write(kMagic);
     w.write<std::uint64_t>(cluster.size());
     w.write<std::uint64_t>(cluster.registry().type_count());
-    const auto bytes = w.take();
-    if (auto s = write_sealed_file(dir / "manifest", bytes); !s.is_ok()) {
+    if (auto s = write_sealed_file(dir / "manifest", std::move(w));
+        !s.is_ok()) {
       return s;
     }
   }
@@ -85,9 +84,8 @@ util::Status checkpoint_cluster(Cluster& cluster,
         !s.is_ok()) {
       return s;
     }
-    const auto bytes = w.take();
     if (auto s = write_sealed_file(node_file(dir, static_cast<NodeId>(n)),
-                                   bytes);
+                                   std::move(w));
         !s.is_ok()) {
       return s;
     }
@@ -113,10 +111,10 @@ util::Status restore_cluster(Cluster& cluster,
               "checkpoint type count does not match the registry"};
     }
   }
-  // Two-phase: read and CRC-validate every node image before installing a
+  // Two-phase: read and unseal every node image before installing a
   // single object, so a truncated or corrupt file leaves the whole cluster
   // unchanged (no partial restore). Runtime::restore_from validates its
-  // image again before installing, covering corruption the file CRC missed.
+  // image again before installing, covering corruption the file seal missed.
   std::vector<std::vector<std::byte>> images;
   images.reserve(cluster.size());
   for (std::size_t n = 0; n < cluster.size(); ++n) {

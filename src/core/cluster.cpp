@@ -6,8 +6,8 @@
 #include <thread>
 
 #include "obs/trace.hpp"
+#include "storage/device_store.hpp"
 #include "storage/file_store.hpp"
-#include "storage/latency_store.hpp"
 #include "storage/mem_store.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -42,19 +42,16 @@ std::unique_ptr<storage::StorageBackend> make_spill_backend(
   }
   const bool modeled = options.disk_model.access_latency.count() > 0 ||
                        options.disk_model.bandwidth_bytes_per_sec > 0.0;
-  if (modeled) {
-    base = std::make_unique<storage::LatencyStore>(std::move(base),
-                                                   options.disk_model);
-  }
-  if (node < options.degraded_storage.size() &&
-      options.degraded_storage[node].base_op_us > 0) {
-    // Between the device model and the fault injector: a degraded device is
-    // still the same device, just slower — and being under the replicated
-    // mirror is what lets a hedged read skip it.
-    storage::DegradedPlan plan = options.degraded_storage[node];
-    plan.tag = node;
-    base = std::make_unique<storage::DegradedStore>(std::move(base),
-                                                    std::move(plan));
+  const bool degraded = node < options.degraded_storage.size() &&
+                        options.degraded_storage[node].base_op_us > 0;
+  if (modeled || degraded) {
+    // Under the fault injector: a degraded device is still the same device,
+    // just slower — and being under the replicated mirror is what lets a
+    // hedged read skip it.
+    base = std::make_unique<storage::DeviceStore>(
+        std::move(base), options.disk_model,
+        degraded ? options.degraded_storage[node]
+                 : storage::DegradedPlan{.base_op_us = 0, .windows = {}});
   }
   if (options.storage_faults.has_value()) {
     storage::FaultPlan plan = *options.storage_faults;

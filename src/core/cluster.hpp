@@ -24,9 +24,8 @@
 
 #include "core/runtime.hpp"
 #include "simnet/fabric.hpp"
-#include "storage/degraded_store.hpp"
+#include "storage/device_store.hpp"
 #include "storage/fault_store.hpp"
-#include "storage/latency_store.hpp"
 #include "storage/log_store.hpp"
 #include "storage/remote_store.hpp"
 #include "storage/replicated_store.hpp"
@@ -101,7 +100,7 @@ struct ClusterOptions {
   /// FaultStore carrying a per-node derived seed and tag = node id.
   std::optional<storage::FaultPlan> storage_faults;
   /// Gray-failure plans, indexed by node (nodes past the end get none): the
-  /// node's spill stack gains a DegradedStore charging modeled per-op cost
+  /// node's spill stack gains a DeviceStore charging modeled per-op cost
   /// (inflated inside the plan's windows) into the virtual latency stats.
   /// Placed UNDER the replicated mirror, so hedged reads can dodge a slow
   /// primary device.

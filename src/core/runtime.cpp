@@ -14,7 +14,8 @@ namespace mrts::core {
 
 // Spill and migration blobs carry their own CRC (storage::seal_blob) so
 // corruption introduced anywhere between serialization and deserialization
-// (including below a CRC-checking backend) is detected at reload. Storage
+// is detected at reload. The seal is the only envelope: backends store it
+// as opaque bytes and a reload verifies it once (verified_payload). Storage
 // seal failures are Status-handled by the recovery ladder; only the wire
 // paths (migration install), where a bad seal means a broken transport
 // rather than a sick disk, still treat it as fatal.
@@ -1091,21 +1092,14 @@ bool Runtime::drain_completions() {
     if (c.is_load) {
       --outstanding_loads_;
       if (e == nullptr) continue;  // destroyed mid-flight
-      if (c.status.is_ok() && blob_matches(*e, c.bytes)) {
-        finish_load(*e, ptr, std::move(c.bytes));
+      auto payload =
+          c.status.is_ok() ? verified_payload(*e, c.bytes) : c.status;
+      if (payload.is_ok()) {
+        finish_load(*e, ptr, payload.value(), c.bytes.size());
         continue;
       }
       // Hard load failure: retries exhausted, bad seal, or stale content.
-      const util::Status cause =
-          c.status.is_ok() ? util::Status(util::StatusCode::kCorruption,
-                                          "loaded blob failed seal/content "
-                                          "verification")
-                           : c.status;
-      if (!options_.recovery.enabled) {
-        throw std::runtime_error("mrts: failed to load " + to_string(ptr) +
-                                 " from storage: " + cause.to_string());
-      }
-      recover_failed_load(ptr, *e, cause);
+      recover_failed_load(ptr, *e, payload.status());
     } else {
       --outstanding_stores_;
       // Draining the completion frees the write-behind budget, whatever the
@@ -1126,10 +1120,6 @@ bool Runtime::drain_completions() {
         }
         continue;
       }
-      if (!options_.recovery.enabled) {
-        throw std::runtime_error("mrts: failed to spill " + to_string(ptr) +
-                                 ": " + c.status.to_string());
-      }
       if (e == nullptr) continue;  // destroyed mid-flight; nothing to save
       if (e->state == Residency::kStoring) {
         recover_failed_store(ptr, *e, c.status, std::move(c.bytes));
@@ -1139,22 +1129,26 @@ bool Runtime::drain_completions() {
   return !batch.empty();
 }
 
-bool Runtime::blob_matches(const Entry& e,
-                           std::span<const std::byte> bytes) const {
-  return sealed_blob_valid(bytes) && sealed_crc(bytes) == e.blob_crc;
+util::Result<std::span<const std::byte>> Runtime::verified_payload(
+    const Entry& e, std::span<const std::byte> blob) const {
+  auto payload = unseal_blob(blob);
+  if (!payload.is_ok() || sealed_crc(blob) != e.blob_crc) {
+    return util::Status(util::StatusCode::kCorruption,
+                        "loaded blob failed seal/content verification");
+  }
+  return payload;
 }
 
 void Runtime::finish_load(Entry& e, MobilePtr ptr,
-                          std::vector<std::byte> bytes) {
+                          std::span<const std::byte> payload,
+                          std::size_t blob_bytes) {
   assert(e.state == Residency::kLoading);
-  auto payload = unseal_blob(bytes);
-  assert(payload.is_ok());  // callers verify the seal before installing
   auto obj = registry_.create(e.type);
   {
     obs::ChargedSpan span(obs::Cat::kComp, "load.deserialize",
                           static_cast<std::uint16_t>(node_),
                           &counters_.comp_time);
-    util::ByteReader reader(payload.value());
+    util::ByteReader reader(payload);
     obj->deserialize(reader);
   }
   e.obj = std::move(obj);
@@ -1178,7 +1172,7 @@ void Runtime::finish_load(Entry& e, MobilePtr ptr,
     e.stored_gen = 0;
   }
   counters_.objects_loaded.fetch_add(1, std::memory_order_relaxed);
-  counters_.bytes_loaded.fetch_add(bytes.size(), std::memory_order_relaxed);
+  counters_.bytes_loaded.fetch_add(blob_bytes, std::memory_order_relaxed);
   if (!e.queue.empty()) push_ready(e, ptr);
   bump_activity();
   // The reload may have pushed the node over budget; relieve promptly so a
@@ -1199,7 +1193,9 @@ void Runtime::recover_failed_load(MobilePtr ptr, Entry& e,
   // transient fault window that outlived the async attempt may be over, and
   // a replicated backend repairs itself on exactly this kind of read.
   auto again = store_.load_sync(ptr.id);
-  if (again.is_ok() && blob_matches(e, again.value())) {
+  auto payload =
+      again.is_ok() ? verified_payload(e, again.value()) : again.status();
+  if (payload.is_ok()) {
     counters_.loads_recovered.fetch_add(1, std::memory_order_relaxed);
     ledger_.add(FailureRecord{ptr, node_, FailureOp::kLoad,
                               FailureResolution::kRetried, cause.code(),
@@ -1207,7 +1203,7 @@ void Runtime::recover_failed_load(MobilePtr ptr, Entry& e,
     obs::TraceRecorder::global().instant(obs::Cat::kDisk, "recover.reload",
                                          static_cast<std::uint16_t>(node_),
                                          ptr.id);
-    finish_load(e, ptr, std::move(again).value());
+    finish_load(e, ptr, payload.value(), again.value().size());
     return;
   }
   // Rung 2: the per-object checkpoint copy, accepted only when its seal CRC
@@ -1215,7 +1211,9 @@ void Runtime::recover_failed_load(MobilePtr ptr, Entry& e,
   // object that changed since is silent corruption and must not win).
   if (options_.recovery.checkpoint_store != nullptr) {
     auto cp = options_.recovery.checkpoint_store->load(ptr.id);
-    if (cp.is_ok() && blob_matches(e, cp.value())) {
+    auto cp_payload =
+        cp.is_ok() ? verified_payload(e, cp.value()) : cp.status();
+    if (cp_payload.is_ok()) {
       counters_.checkpoint_recoveries.fetch_add(1, std::memory_order_relaxed);
       ledger_.add(FailureRecord{ptr, node_, FailureOp::kLoad,
                                 FailureResolution::kCheckpointRecovered,
@@ -1223,7 +1221,7 @@ void Runtime::recover_failed_load(MobilePtr ptr, Entry& e,
       obs::TraceRecorder::global().instant(
           obs::Cat::kDisk, "recover.checkpoint",
           static_cast<std::uint16_t>(node_), ptr.id);
-      finish_load(e, ptr, std::move(cp).value());
+      finish_load(e, ptr, cp_payload.value(), cp.value().size());
       return;
     }
   }
@@ -1236,11 +1234,11 @@ void Runtime::recover_failed_store(MobilePtr ptr, Entry& e,
   // The storage layer hands a failed store's payload back: undo the
   // eviction and reinstall the object in core from it. Verify anyway —
   // these bytes are the object's only copy.
-  if (!blob_matches(e, bytes)) {
+  auto payload = verified_payload(e, bytes);
+  if (!payload.is_ok()) {
     poison_object(ptr, e, FailureOp::kStore, cause);
     return;
   }
-  auto payload = unseal_blob(bytes);
   auto obj = registry_.create(e.type);
   {
     obs::ChargedSpan span(obs::Cat::kComp, "spill.reinstall",
@@ -1850,11 +1848,11 @@ std::vector<Runtime::RecoveredObject> Runtime::crash_export() {
     // rung); read it back through the same verification a reload uses.
     std::vector<std::byte> blob;
     if (auto loaded = store_.load_sync(ptr.id);
-        loaded.is_ok() && blob_matches(e, loaded.value())) {
+        loaded.is_ok() && verified_payload(e, loaded.value()).is_ok()) {
       blob = std::move(loaded).value();
     } else if (options_.recovery.checkpoint_store != nullptr) {
       if (auto cp = options_.recovery.checkpoint_store->load(ptr.id);
-          cp.is_ok() && blob_matches(e, cp.value())) {
+          cp.is_ok() && verified_payload(e, cp.value()).is_ok()) {
         blob = std::move(cp).value();
       }
     }

@@ -97,14 +97,11 @@ struct RuntimeOptions {
   /// progress_once() free the budget. Hard-pressure evictions ignore the
   /// bound (memory must be freed now). 0 = unbounded.
   std::size_t write_behind_max_bytes = 8u << 20;
-  /// Storage-failure recovery (the self-healing path). When enabled,
-  /// exhausted loads and corrupt blobs never throw: the runtime walks a
-  /// recovery ladder (re-issued load → checkpoint copy → poison) and failed
-  /// spill-stores reinstall the object in core from the returned payload.
-  /// When disabled, such failures abort the run (the pre-recovery behavior,
-  /// kept for tests that pin fail-stop semantics).
+  /// Storage-failure recovery (the self-healing path). Exhausted loads and
+  /// corrupt blobs never throw: the runtime walks a recovery ladder
+  /// (re-issued load → checkpoint copy → poison) and failed spill-stores
+  /// reinstall the object in core from the returned payload.
   struct Recovery {
-    bool enabled = true;
     /// Optional side store that receives a copy of every object blob written
     /// by checkpoint_to(); the ladder's second rung reads it back. Shared
     /// ownership: the cluster owns one per node, tests may inject their own.
@@ -590,10 +587,15 @@ class Runtime {
   bool run_ready_object();
   void execute_message(MobilePtr ptr, Entry& e, QueuedMessage& msg);
   bool drain_completions();
-  void finish_load(Entry& e, MobilePtr ptr, std::vector<std::byte> bytes);
-  /// True when the sealed bytes are intact and match the entry's blob_crc.
-  [[nodiscard]] bool blob_matches(const Entry& e,
-                                  std::span<const std::byte> bytes) const;
+  /// Installs `e`'s object from the verified payload of a loaded blob of
+  /// `blob_bytes` bytes.
+  void finish_load(Entry& e, MobilePtr ptr, std::span<const std::byte> payload,
+                   std::size_t blob_bytes);
+  /// The one check a spill blob read back for `e` passes: its seal must
+  /// hold and its seal CRC must equal the entry's blob_crc (a stale copy is
+  /// corruption too). Returns the verified payload, or kCorruption.
+  [[nodiscard]] util::Result<std::span<const std::byte>> verified_payload(
+      const Entry& e, std::span<const std::byte> blob) const;
   /// Recovery ladder for a load that failed (hard error, bad seal, or stale
   /// content): re-issued load → checkpoint copy → poison.
   void recover_failed_load(MobilePtr ptr, Entry& e, const util::Status& cause);

@@ -3,8 +3,9 @@
 // Storage-layer backend interface (paper §II.D "storage layer"). The
 // underlying facility is hidden from the application: the runtime sees only
 // keyed blobs. Implementations: FileStore (real files on disk), MemStore
-// (in-memory, for tests), plus decorators adding modeled device latency and
-// injected faults.
+// (in-memory, for tests), plus decorators adding modeled device cost
+// (DeviceStore) and injected faults. Backends store opaque bytes; integrity
+// is the runtime's sealed-blob trailer (storage/sealed_blob.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -42,7 +43,7 @@ struct BackendStats {
   std::uint64_t compactions = 0;       // sealed segments rewritten/dropped
   std::uint64_t compacted_bytes = 0;   // live framed bytes rewritten
   std::uint64_t records_dropped = 0;   // dead records dropped by compaction
-  // --- modeled device time (LatencyStore / DegradedStore) -----------------
+  // --- modeled device time (DeviceStore) ---------------------------------
   /// Accumulated *virtual* microseconds of modeled device cost, charged per
   /// op as a pure function of the op schedule (never wall clock). This is
   /// the health-scoring signal: HealthMonitor differences these between

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "util/crc32.hpp"
 #include "util/format.hpp"
 
 namespace mrts::storage {
@@ -33,8 +32,6 @@ util::Status FileStore::store(ObjectKey key, std::span<const std::byte> bytes) {
     }
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
-    const std::uint32_t crc = util::crc32(bytes);
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
     out.flush();
     if (!out) {
       return {util::StatusCode::kIoError, "short write to " + tmp_path.string()};
@@ -70,25 +67,15 @@ util::Result<std::vector<std::byte>> FileStore::load(ObjectKey key) {
     return util::Status(util::StatusCode::kIoError,
                         "cannot open " + path_for(key).string());
   }
-  const auto total = static_cast<std::size_t>(in.tellg());
-  if (total < sizeof(std::uint32_t)) {
-    return util::Status(util::StatusCode::kCorruption, "file shorter than CRC");
-  }
-  const std::size_t payload = total - sizeof(std::uint32_t);
-  std::vector<std::byte> bytes(payload);
+  std::vector<std::byte> bytes(static_cast<std::size_t>(in.tellg()));
   in.seekg(0);
   in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(payload));
-  std::uint32_t stored_crc = 0;
-  in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
+          static_cast<std::streamsize>(bytes.size()));
   if (!in) {
     return util::Status(util::StatusCode::kIoError, "short read");
   }
-  if (util::crc32(bytes) != stored_crc) {
-    return util::Status(util::StatusCode::kCorruption, "CRC mismatch");
-  }
   std::lock_guard lock(mutex_);
-  stats_.bytes_read += payload;
+  stats_.bytes_read += bytes.size();
   ++stats_.load_ops;
   ++stats_.device_read_ops;
   return bytes;

@@ -1,8 +1,10 @@
 #pragma once
 
 // File-based StorageBackend: one file per object key inside a spill
-// directory, with a CRC-32 trailer to detect torn or corrupted writes.
-// This is the backend the out-of-core experiments actually swap to.
+// directory, written to a temporary file and renamed into place. Blobs are
+// opaque bytes: integrity is the caller's sealed-blob trailer
+// (storage/sealed_blob.hpp), verified once at reload. This is the backend
+// the out-of-core experiments actually swap to.
 
 #include <filesystem>
 #include <mutex>
@@ -40,7 +42,7 @@ class FileStore final : public StorageBackend {
 
   std::filesystem::path dir_;
   mutable std::mutex mutex_;
-  std::unordered_map<ObjectKey, std::uint64_t> sizes_;  // key -> payload bytes
+  std::unordered_map<ObjectKey, std::uint64_t> sizes_;  // key -> blob bytes
   std::uint64_t stored_bytes_ = 0;
   BackendStats stats_{};
 };

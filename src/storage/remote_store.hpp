@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "storage/backend.hpp"
-#include "storage/latency_store.hpp"
+#include "storage/device_store.hpp"
 
 namespace mrts::storage {
 

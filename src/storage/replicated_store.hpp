@@ -3,13 +3,15 @@
 // Replicated spill store (Weaver-style repair-on-read): every store is
 // mirrored to a secondary backend; loads that fail on the primary — hard
 // error or seal/CRC mismatch — fall back to the mirror and repair the
-// primary copy in place (scrub-on-read). A per-primary circuit breaker
+// primary copy in place (scrub-on-read). Payloads must be sealed blobs
+// (storage/sealed_blob.hpp; the runtime seals every spill blob): every
+// load verifies the seal of the copy it returns. A per-primary circuit breaker
 // opens after N consecutive hard failures so a blacked-out device stops
 // eating latency: new stores route straight to the mirror (or a bounded
 // in-memory overflow when the mirror refuses too) until a probe succeeds.
 //
 // Placement: outermost decorator of a node's spill stack —
-//   ReplicatedStore( primary = FaultStore(LatencyStore(base)), mirror )
+//   ReplicatedStore( primary = FaultStore(DeviceStore(base)), mirror )
 // so injected faults and device latency hit only the primary, exactly like
 // a sick disk under a healthy replica.
 //
@@ -40,10 +42,6 @@ struct ReplicatedStoreOptions {
   /// Bound on bytes parked in the in-memory overflow when both primary and
   /// mirror refuse a store; beyond it the store error is propagated.
   std::uint64_t overflow_capacity_bytes = 64u << 20;
-  /// Verify the payload's sealed CRC trailer on every primary load and
-  /// treat a mismatch as a primary failure (the runtime seals all spill
-  /// blobs). Disable if payloads are not sealed.
-  bool verify_seals = true;
   /// Hedged reads (gray-failure mitigation): when the primary's recent
   /// per-load modeled latency (EWMA of the virtual_*_latency_us deltas it
   /// reports) reaches hedge_latency_us, race the mirror *first*. A sealed

@@ -1,10 +1,12 @@
 #pragma once
 
 // Sealed-blob helpers shared by the runtime's spill path, the checkpoint
-// writer, and the replicated store's scrub-on-read: a sealed blob is the
-// serialized payload followed by its CRC32 (little-endian, 4 bytes), so
-// corruption introduced anywhere between serialization and deserialization
-// — including below a CRC-checking backend — is detected at reload.
+// files, the segment log's record framing, and the replicated store's
+// scrub-on-read: a sealed blob is the serialized payload followed by its
+// CRC32 (little-endian, 4 bytes). The seal is the only integrity envelope
+// from spill to reload — backends store it as opaque bytes — so corruption
+// introduced anywhere between serialization and deserialization is
+// detected once, at reload.
 //
 // All verification is Status-based: a bad seal is an expected runtime
 // outcome (injected corruption, torn write, bit rot) handled by the

@@ -29,8 +29,11 @@ void TaskGroup::run(TaskFn fn) {
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
   pool_.submit([this, fn = std::move(fn)] {
     fn();
+    // Decrement and notify under the mutex: once the count reaches zero a
+    // waiter may destroy the group, and it cannot get past the lock in
+    // wait() until this child has stopped touching the group.
+    std::lock_guard lock(mutex_);
     if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lock(mutex_);
       cv_.notify_all();
     }
   });
@@ -47,6 +50,9 @@ void TaskGroup::wait() {
       return outstanding_.load(std::memory_order_acquire) == 0;
     });
   }
+  // The last child may still hold the mutex it decremented under; wait for
+  // it to let go before the caller can destroy the group.
+  std::lock_guard lock(mutex_);
 }
 
 }  // namespace mrts::tasking

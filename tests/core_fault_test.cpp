@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "core/runtime.hpp"
 #include "simnet/fabric.hpp"
 #include "storage/fault_store.hpp"
+#include "storage/file_store.hpp"
 #include "storage/mem_store.hpp"
+#include "util/format.hpp"
 
 namespace mrts::core {
 namespace {
@@ -37,17 +41,16 @@ struct Harness {
   TypeId type = 0;
   HandlerId h_add = 0;
 
-  explicit Harness(storage::FaultPlan plan, std::size_t budget_kb = 256,
-                   bool recovery_enabled = true) {
+  explicit Harness(storage::FaultPlan plan)
+      : Harness(std::make_unique<storage::FaultStore>(
+            std::make_unique<storage::MemStore>(), plan)) {}
+
+  explicit Harness(std::unique_ptr<storage::StorageBackend> backend) {
     RuntimeOptions options;
-    options.ooc.memory_budget_bytes = budget_kb << 10;
+    options.ooc.memory_budget_bytes = 256u << 10;
     options.storage_retry.max_retries = 12;  // ride out bursts of injected faults
-    options.recovery.enabled = recovery_enabled;
-    rt = std::make_unique<Runtime>(
-        0, fabric.endpoint(0), registry,
-        std::make_unique<storage::FaultStore>(
-            std::make_unique<storage::MemStore>(), plan),
-        options);
+    rt = std::make_unique<Runtime>(0, fabric.endpoint(0), registry,
+                                   std::move(backend), options);
     type = registry.register_type<Box>("box");
     h_add = registry.register_handler(
         type, [](Runtime&, MobileObject& obj, MobilePtr, NodeId,
@@ -141,11 +144,15 @@ TEST(FaultInjection, CorruptedBlobPoisonsObjectInsteadOfDeserializing) {
             dropped_before);
 }
 
-TEST(FaultInjection, CorruptedBlobThrowsWhenRecoveryDisabled) {
-  // With the recovery ladder switched off the legacy contract holds: the
-  // CRC check throws rather than deserializing garbage.
-  Harness h(storage::FaultPlan{.corruption_rate = 1.0, .seed = 7}, 256,
-            /*recovery_enabled=*/false);
+TEST(FaultInjection, BitFlippedSpillFilePoisonsWithoutThrowing) {
+  // A real FileStore stores opaque bytes, so a bit flipped in a spill file
+  // on disk loads fine: only the runtime's seal check stands between it and
+  // deserialize(). With no checkpoint copy the ladder must poison the
+  // object, ledger it, and keep the control loop running.
+  auto file_store = std::make_unique<storage::FileStore>(
+      storage::make_temp_spill_dir("fault-test"));
+  const auto dir = file_store->directory();
+  Harness h(std::move(file_store));
   std::vector<MobilePtr> ptrs;
   for (int i = 0; i < 16; ++i) ptrs.push_back(h.make_box(8000));
   h.pump();
@@ -155,14 +162,29 @@ TEST(FaultInjection, CorruptedBlobThrowsWhenRecoveryDisabled) {
     if (!h.rt->is_in_core(p)) cold = p;
   }
   ASSERT_FALSE(cold.is_null()) << "budget did not force any spills";
+  {
+    const auto path = dir / util::format("{:016x}.mob", cold.id);
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    char c;
+    f.seekg(64);
+    f.get(c);
+    f.seekp(64);
+    f.put(static_cast<char>(c ^ 0x01));
+  }
   h.rt->send(cold, h.h_add, Harness::arg_u64(1));
-  EXPECT_THROW(
-      {
-        for (int i = 0; i < 100000; ++i) {
-          h.rt->progress_once();
-        }
-      },
-      std::runtime_error);
+  EXPECT_NO_THROW(h.pump());
+  EXPECT_TRUE(h.rt->is_idle());
+  EXPECT_EQ(h.rt->object_health(cold), ObjectHealth::kPoisoned);
+  EXPECT_EQ(h.rt->counters().checkpoint_recoveries.load(), 0u);
+  bool ledgered = false;
+  for (const auto& rec : h.rt->failure_ledger().snapshot()) {
+    if (rec.object == cold && rec.op == FailureOp::kLoad &&
+        rec.resolution == FailureResolution::kPoisoned) {
+      ledgered = true;
+    }
+  }
+  EXPECT_TRUE(ledgered);
 }
 
 }  // namespace

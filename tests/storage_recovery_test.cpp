@@ -8,7 +8,7 @@
 #include <cstring>
 
 #include "storage/circuit_breaker.hpp"
-#include "storage/degraded_store.hpp"
+#include "storage/device_store.hpp"
 #include "storage/fault_store.hpp"
 #include "storage/mem_store.hpp"
 #include "storage/object_store.hpp"
@@ -386,12 +386,12 @@ TEST(ReplicatedStore, EraseRemovesFromBothReplicas) {
 
 // --- Hedged reads (gray-failure mitigation) ---------------------------------
 
-TEST(DegradedStore, WindowInflatesModeledCostOnly) {
+TEST(DeviceStore, WindowInflatesModeledCostOnly) {
   DegradedPlan plan;
   plan.base_op_us = 50;
   plan.windows.push_back(DegradedWindow{.begin_op = 1, .end_op = 3,
                                         .inflation = 10});
-  DegradedStore store(std::make_unique<MemStore>(), plan);
+  DeviceStore store(std::make_unique<MemStore>(), DeviceModel{}, plan);
   const auto blob = sealed_payload(1, 4);
   // Ops 0..3: op 0 and 3 at base cost, ops 1 and 2 inside the window.
   for (ObjectKey k = 0; k < 4; ++k) {
@@ -406,6 +406,39 @@ TEST(DegradedStore, WindowInflatesModeledCostOnly) {
   EXPECT_EQ(r.value(), blob);
 }
 
+TEST(DeviceStore, BothTermsChargeLikeTheDeviceModelUnderTheDegradedPlan) {
+  // One decorator carrying both a device model and a windowed plan must
+  // charge exactly what a plan-only decorator stacked over a model-only one
+  // charged: the plan term on every op before the inner call (op index
+  // counting stores and loads together), the model term on stores and on
+  // successful loads only.
+  DeviceModel model{.access_latency = std::chrono::microseconds(100),
+                    .bandwidth_bytes_per_sec = 1e6};
+  DegradedPlan plan;
+  plan.base_op_us = 50;
+  plan.windows.push_back(DegradedWindow{.begin_op = 1, .end_op = 3,
+                                        .inflation = 10});
+  DeviceStore store(std::make_unique<MemStore>(), model, plan);
+  const auto blob = sealed_payload(5, 4);
+  const auto device_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          model.cost(blob.size()))
+          .count());
+  ASSERT_GT(device_us, 100u);  // the transfer term is in play
+
+  ASSERT_TRUE(store.store(0, blob).is_ok());  // op 0: base
+  ASSERT_TRUE(store.store(1, blob).is_ok());  // op 1: inflated
+  ASSERT_TRUE(store.load(0).is_ok());         // op 2: inflated
+  ASSERT_FALSE(store.load(99).is_ok());       // op 3: base, no model term
+  ASSERT_TRUE(store.load(1).is_ok());         // op 4: base
+
+  EXPECT_EQ(store.degraded_ops(), 2u);
+  EXPECT_EQ(store.stats().virtual_store_latency_us,
+            (50u + device_us) + (500u + device_us));
+  EXPECT_EQ(store.stats().virtual_load_latency_us,
+            (500u + device_us) + 50u + (50u + device_us));
+}
+
 TEST(ReplicatedStore, HedgedReadWinsOnMirrorAndSkipsSlowPrimary) {
   // Primary charges 1600us per load (always-degraded window); the hedge
   // trigger is 400us. The first load primes the EWMA on the primary path;
@@ -414,9 +447,9 @@ TEST(ReplicatedStore, HedgedReadWinsOnMirrorAndSkipsSlowPrimary) {
   DegradedPlan plan;
   plan.base_op_us = 100;
   plan.windows.push_back(DegradedWindow{.inflation = 16});  // [0, inf)
-  auto primary =
-      std::make_unique<DegradedStore>(std::make_unique<MemStore>(), plan);
-  DegradedStore* raw_primary = primary.get();
+  auto primary = std::make_unique<DeviceStore>(std::make_unique<MemStore>(),
+                                               DeviceModel{}, plan);
+  DeviceStore* raw_primary = primary.get();
   ReplicatedStoreOptions ropts;
   ropts.hedged_reads = true;
   ropts.hedge_latency_us = 400;
@@ -457,7 +490,8 @@ TEST(ReplicatedStore, HedgeLossFallsThroughToPrimary) {
   ropts.hedged_reads = true;
   ropts.hedge_latency_us = 400;
   ReplicatedStore store(
-      std::make_unique<DegradedStore>(std::make_unique<MemStore>(), plan),
+      std::make_unique<DeviceStore>(std::make_unique<MemStore>(),
+                                    DeviceModel{}, plan),
       std::make_unique<FaultStore>(std::make_unique<MemStore>(),
                                    FaultPlan{.store_failure_rate = 1.0}),
       ropts);
@@ -482,7 +516,8 @@ TEST(ReplicatedStore, HedgingOffByDefaultNeverTouchesMirrorFirst) {
   auto mirror = std::make_unique<MemStore>();
   MemStore* raw_mirror = mirror.get();
   ReplicatedStore store(
-      std::make_unique<DegradedStore>(std::make_unique<MemStore>(), plan),
+      std::make_unique<DeviceStore>(std::make_unique<MemStore>(),
+                                    DeviceModel{}, plan),
       std::move(mirror));
   ASSERT_TRUE(store.store(2, sealed_payload(2, 4)).is_ok());
   for (int i = 0; i < 4; ++i) {

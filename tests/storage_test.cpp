@@ -7,12 +7,13 @@
 #include <future>
 #include <set>
 
+#include "storage/device_store.hpp"
 #include "storage/eviction.hpp"
 #include "storage/fault_store.hpp"
 #include "storage/file_store.hpp"
-#include "storage/latency_store.hpp"
 #include "storage/mem_store.hpp"
 #include "storage/object_store.hpp"
+#include "storage/sealed_blob.hpp"
 #include "util/rng.hpp"
 
 namespace mrts::storage {
@@ -82,24 +83,36 @@ TEST(FileStore, EmptyBlobRoundTrips) {
   EXPECT_TRUE(r.value().empty());
 }
 
-TEST(FileStore, DetectsOnDiskCorruption) {
-  FileStore store(make_temp_spill_dir("test"));
-  ASSERT_TRUE(store.store(3, random_blob(256, 3)).is_ok());
-  // Flip a byte in the middle of the spill file.
-  const auto path = store.directory() / "0000000000000003.mob";
-  ASSERT_TRUE(std::filesystem::exists(path));
-  {
+TEST(SealedBlob, DetectsOnDiskCorruptionBelowFileStore) {
+  // FileStore stores opaque bytes; the seal is the only integrity envelope.
+  util::ByteWriter w;
+  w.write_bytes(random_blob(256, 3));
+  const auto blob = seal_blob(std::move(w));
+  // Stores the blob, damages its spill file, and unseals what loads back.
+  auto unseal_damaged = [&](auto damage) {
+    FileStore store(make_temp_spill_dir("test"));
+    EXPECT_TRUE(store.store(3, blob).is_ok());
+    const auto path = store.directory() / "0000000000000003.mob";
+    EXPECT_TRUE(std::filesystem::exists(path));
+    damage(path);
+    auto r = store.load(3);
+    EXPECT_TRUE(r.is_ok()) << "FileStore must not check the bytes itself";
+    return r.is_ok() ? unseal_blob(r.value()).status() : r.status();
+  };
+  const auto flipped = unseal_damaged([](const std::filesystem::path& path) {
+    // Flip a byte in the middle of the spill file.
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(100);
     char c;
     f.seekg(100);
     f.get(c);
     f.seekp(100);
     f.put(static_cast<char>(c ^ 0xFF));
-  }
-  auto r = store.load(3);
-  ASSERT_FALSE(r.is_ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kCorruption);
+  });
+  EXPECT_EQ(flipped.code(), util::StatusCode::kCorruption);
+  const auto truncated = unseal_damaged([](const std::filesystem::path& path) {
+    std::filesystem::resize_file(path, 200);
+  });
+  EXPECT_EQ(truncated.code(), util::StatusCode::kCorruption);
 }
 
 TEST(FileStore, ClearRemovesSpillFiles) {
@@ -117,10 +130,10 @@ TEST(FileStore, ClearRemovesSpillFiles) {
   EXPECT_EQ(files, 0u);
 }
 
-TEST(LatencyStore, AddsModeledDelay) {
+TEST(DeviceStore, AddsModeledDelay) {
   DeviceModel model{.access_latency = std::chrono::microseconds(2000),
                     .bandwidth_bytes_per_sec = 0.0};
-  LatencyStore store(std::make_unique<MemStore>(), model);
+  DeviceStore store(std::make_unique<MemStore>(), model);
   util::WallTimer t;
   ASSERT_TRUE(store.store(1, random_blob(10, 1)).is_ok());
   (void)store.load(1);
@@ -255,7 +268,7 @@ TEST(ObjectStore, AsyncStoreThenLoad) {
 TEST(ObjectStore, DrainWaitsForQueue) {
   util::TimeAccumulator disk;
   ObjectStore store(
-      std::make_unique<LatencyStore>(
+      std::make_unique<DeviceStore>(
           std::make_unique<MemStore>(),
           DeviceModel{.access_latency = std::chrono::microseconds(500)}),
       &disk);

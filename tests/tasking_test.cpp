@@ -86,6 +86,29 @@ TEST_P(PoolContract, DeepRecursiveSpawn) {
   EXPECT_EQ(total.load(), 127);
 }
 
+TEST_P(PoolContract, ShortLivedNestedGroupsAreSafeToDestroy) {
+  // Every inner group lives on a task's stack and dies as soon as wait()
+  // returns. A child that still touched its group after the count reached
+  // zero would lock a destroyed mutex; the sanitizer jobs catch that.
+  auto pool = make(3);
+  std::atomic<int> leaves{0};
+  {
+    TaskGroup outer(*pool);
+    for (int i = 0; i < 200; ++i) {
+      outer.run([&] {
+        for (int j = 0; j < 8; ++j) {
+          TaskGroup inner(*pool);
+          inner.run([&] { leaves.fetch_add(1); });
+          inner.run([&] { leaves.fetch_add(1); });
+          inner.wait();
+        }
+      });
+    }
+    outer.wait();
+  }
+  EXPECT_EQ(leaves.load(), 200 * 8 * 2);
+}
+
 TEST_P(PoolContract, ParallelForCoversRange) {
   auto pool = make(3);
   std::vector<int> marks(1000, 0);
