@@ -9,6 +9,7 @@
 #include "simnet/fabric.hpp"
 #include "storage/file_store.hpp"
 #include "storage/mem_store.hpp"
+#include "storage/sealed_blob.hpp"
 #include "tasking/task_pool.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -63,6 +64,38 @@ void BM_Crc32(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+// Same as BM_Crc32 but starting one byte into the buffer, so every 8-byte
+// word load is misaligned.
+void BM_Crc32Unaligned(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::byte> data(n + 1);
+  const auto view = std::span<const std::byte>(data).subspan(1, n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(view));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32Unaligned)->Arg(1 << 16)->Arg(1 << 20);
+
+// The spill path's integrity envelope: seal a payload (copy + CRC) and
+// verify it again on the way back. Bytes are payload bytes per round trip.
+void BM_SealUnseal(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::byte> payload(n, std::byte{0x3C});
+  for (auto _ : state) {
+    util::ByteWriter w(n + sizeof(std::uint32_t));
+    w.write_bytes(payload);
+    const auto blob = storage::seal_blob(std::move(w));
+    auto unsealed = storage::unseal_blob(blob);
+    benchmark::DoNotOptimize(unsealed.is_ok());
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_SealUnseal)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_ArchiveRoundTrip(benchmark::State& state) {
   std::vector<std::uint64_t> payload(

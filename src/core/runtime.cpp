@@ -993,7 +993,13 @@ void Runtime::spill(MobilePtr ptr, Entry& e) {
     e.obj->on_unregister(*this);
     e.obj->serialize(body);
   }
-  auto blob = seal_blob(std::move(body));
+  std::vector<std::byte> blob;
+  {
+    obs::ChargedSpan span(obs::Cat::kComp, "spill.seal",
+                          static_cast<std::uint16_t>(node_),
+                          &counters_.comp_time);
+    blob = seal_blob(std::move(body));
+  }
   e.obj.reset();
   ooc_.on_remove(ptr.id);
   e.state = Residency::kStoring;
@@ -1130,7 +1136,10 @@ bool Runtime::drain_completions() {
 }
 
 util::Result<std::span<const std::byte>> Runtime::verified_payload(
-    const Entry& e, std::span<const std::byte> blob) const {
+    const Entry& e, std::span<const std::byte> blob) {
+  obs::ChargedSpan span(obs::Cat::kComp, "load.verify",
+                        static_cast<std::uint16_t>(node_),
+                        &counters_.comp_time);
   auto payload = unseal_blob(blob);
   if (!payload.is_ok() || sealed_crc(blob) != e.blob_crc) {
     return util::Status(util::StatusCode::kCorruption,

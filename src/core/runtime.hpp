@@ -593,9 +593,10 @@ class Runtime {
                    std::size_t blob_bytes);
   /// The one check a spill blob read back for `e` passes: its seal must
   /// hold and its seal CRC must equal the entry's blob_crc (a stale copy is
-  /// corruption too). Returns the verified payload, or kCorruption.
+  /// corruption too). Returns the verified payload, or kCorruption. Its
+  /// time is charged to comp as the `load.verify` span.
   [[nodiscard]] util::Result<std::span<const std::byte>> verified_payload(
-      const Entry& e, std::span<const std::byte> blob) const;
+      const Entry& e, std::span<const std::byte> blob);
   /// Recovery ladder for a load that failed (hard error, bad seal, or stale
   /// content): re-issued load → checkpoint copy → poison.
   void recover_failed_load(MobilePtr ptr, Entry& e, const util::Status& cause);

@@ -22,12 +22,6 @@ std::uint32_t sealed_crc(std::span<const std::byte> blob) {
   return stored;
 }
 
-bool sealed_blob_valid(std::span<const std::byte> blob) {
-  if (blob.size() < sizeof(std::uint32_t)) return false;
-  const auto payload = blob.subspan(0, blob.size() - sizeof(std::uint32_t));
-  return util::crc32(payload) == sealed_crc(blob);
-}
-
 util::Result<std::span<const std::byte>> unseal_blob(
     std::span<const std::byte> blob) {
   if (blob.size() < sizeof(std::uint32_t)) {
@@ -40,6 +34,10 @@ util::Result<std::span<const std::byte>> unseal_blob(
                         "sealed blob failed checksum verification");
   }
   return payload;
+}
+
+bool sealed_blob_valid(std::span<const std::byte> blob) {
+  return unseal_blob(blob).is_ok();
 }
 
 }  // namespace mrts::storage

@@ -49,7 +49,8 @@ void write_sealed(util::ByteWriter& w, Fn&& fn) {
 /// ladder uses before accepting a checkpoint copy.
 [[nodiscard]] std::uint32_t sealed_crc(std::span<const std::byte> blob);
 
-/// True when the blob is long enough and its payload matches the trailer.
+/// True when unseal_blob(blob) succeeds: long enough, payload matches the
+/// trailer.
 [[nodiscard]] bool sealed_blob_valid(std::span<const std::byte> blob);
 
 /// Returns the payload view of a sealed blob, or kCorruption when the blob

@@ -62,6 +62,25 @@ TEST(SealedBlob, WriteSealedMatchesSealAndCopyByteForByte) {
   EXPECT_EQ(body.read_string(), "payload");
 }
 
+TEST(SealedBlob, SealBytesArePinned) {
+  // The on-disk envelope, byte for byte: the payload as written, then its
+  // CRC-32 as a little-endian trailer. Spill files, checkpoints and
+  // segment-log records written by earlier builds must keep unsealing.
+  util::ByteWriter w;
+  w.write_string("MRTS");
+  w.write<std::uint32_t>(0x01020304u);
+  const auto blob = seal_blob(std::move(w));
+  const std::vector<std::uint8_t> want = {
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4D, 0x52,
+      0x54, 0x53, 0x04, 0x03, 0x02, 0x01, 0x90, 0xAC, 0xE1, 0x1E};
+  ASSERT_EQ(blob.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(static_cast<std::uint8_t>(blob[i]), want[i]) << "byte " << i;
+  }
+  EXPECT_EQ(sealed_crc(blob), 0x1EE1AC90u);
+  EXPECT_TRUE(sealed_blob_valid(blob));
+}
+
 TEST(SealedBlob, WriteSealedIntoSinkSealsOnlyItsOwnSpan) {
   // In sink mode the writer appends into a buffer that already has
   // contents; the CRC must cover only the payload written by `fn`.

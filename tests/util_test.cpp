@@ -195,6 +195,59 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   auto part = crc32(std::span(data).subspan(0, 400));
   part = crc32(std::span(data).subspan(400), part);
   EXPECT_EQ(whole, part);
+
+  // Every split of a 257-byte buffer: each side lands on every residue of
+  // the 8-byte word loop and its bytewise tail.
+  const auto odd = std::span(data).subspan(0, 257);
+  const auto odd_whole = crc32(odd);
+  for (std::size_t split = 0; split <= odd.size(); ++split) {
+    const auto head = crc32(odd.subspan(0, split));
+    EXPECT_EQ(crc32(odd.subspan(split), head), odd_whole) << "split " << split;
+  }
+}
+
+// The textbook reflected IEEE CRC-32, one bit at a time: shares no table
+// with the implementation under test.
+std::uint32_t reference_crc32(std::span<const std::byte> bytes,
+                              std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::byte b : bytes) {
+    c ^= static_cast<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..130 cover empty input, tail-only input and several words
+  // plus every tail length; start offsets 0..7 make the word loads
+  // unaligned in every way.
+  std::vector<std::byte> data(8 + 130);
+  Rng rng(11);
+  for (auto& b : data) b = static_cast<std::byte>(rng() & 0xFF);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 130; ++len) {
+      const auto view = std::span(data).subspan(off, len);
+      EXPECT_EQ(crc32(view), reference_crc32(view, 0))
+          << "offset " << off << " length " << len;
+      EXPECT_EQ(crc32(view, 0xDEADBEEFu), reference_crc32(view, 0xDEADBEEFu))
+          << "seeded, offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, GoldenMebibyte) {
+  // Pinned from the bytewise implementation: every sealed blob, segment-log
+  // record, checkpoint file and chaos trace CRC depends on this value.
+  std::vector<std::byte> data(1u << 20);
+  std::uint64_t state = 0x5EEDC0DE;
+  for (std::size_t i = 0; i < data.size(); i += sizeof(std::uint64_t)) {
+    const std::uint64_t word = splitmix64(state);
+    std::memcpy(data.data() + i, &word, sizeof(word));
+  }
+  EXPECT_EQ(crc32(data), 0x7384E9A9u);
 }
 
 TEST(Crc32, DetectsBitFlip) {
