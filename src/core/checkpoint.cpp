@@ -8,7 +8,7 @@
 namespace mrts::core {
 namespace {
 
-constexpr std::uint64_t kMagic = 0x4D52545343503031ull;  // "MRTSCP01"
+constexpr std::uint64_t kMagic = 0x4D52545343503032ull;  // "MRTSCP02"
 
 // Checkpoint files are sealed blobs (storage/sealed_blob.hpp): the image
 // followed by its CRC32, the same envelope the spill path uses.

@@ -15,6 +15,10 @@
 namespace mrts::core {
 namespace {
 
+/// Shed advice fires when the busiest node's queued work exceeds this
+/// multiple of the idlest node's, plus LoadBalanceOptions::slack_messages.
+constexpr double kImbalanceFactor = 2.0;
+
 std::unique_ptr<storage::StorageBackend> make_spill_backend(
     const ClusterOptions& options, NodeId node,
     storage::RemoteMemoryPool* remote_pool) {
@@ -203,8 +207,7 @@ void Cluster::maybe_advise_balance() {
   }
   if (!found_lo) return;
   if (hi != lo &&
-      hi_load > options_.balance.imbalance_factor *
-                        static_cast<double>(lo_load) +
+      hi_load > kImbalanceFactor * static_cast<double>(lo_load) +
                     static_cast<double>(options_.balance.slack_messages)) {
     runtimes_[hi]->advise_shed(options_.balance.objects_per_advice,
                                static_cast<NodeId>(lo));

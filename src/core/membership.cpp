@@ -442,7 +442,6 @@ void MembershipManager::resolve_steals_involving(NodeId node) {
 // --- helpers ---------------------------------------------------------------
 
 void MembershipManager::retarget_budgets() {
-  if (!options_.retarget_budgets) return;
   // Survivors absorb the leaver's objects: reset every Up node's working
   // budget to its configured physical budget (never above it — the chaos
   // check_budget invariant gates the physical bound).

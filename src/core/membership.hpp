@@ -109,11 +109,6 @@ struct MembershipOptions {
   /// A victim must have at least this many queued messages to be stolen
   /// from, and at least 2x the thief's queue + 1.
   std::uint64_t steal_min_queue = 8;
-  /// Reset every Up node's working OOC budget to its configured physical
-  /// budget after a membership change (survivors absorb the leaver's
-  /// objects). The service layer repartitions on its own tick and may turn
-  /// this off.
-  bool retarget_budgets = true;
 };
 
 struct MembershipStats {

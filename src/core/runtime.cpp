@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -43,7 +44,8 @@ Runtime::Runtime(NodeId node, net::Endpoint& endpoint,
                  .retry = options.storage_retry,
                  .synchronous = options.synchronous_storage,
                  .trace_track = node}),
-      pool_(tasking::make_pool(options.pool_backend, options.pool_workers)) {
+      pool_(tasking::make_pool(tasking::PoolBackend::kWorkStealing,
+                               options.pool_workers)) {
   endpoint_.set_comm_accumulator(&counters_.comm_time);
   obs::MetricsRegistry::global()
       .gauge(util::format("ooc.budget_bytes.node{}", node))
@@ -359,7 +361,6 @@ void Runtime::push_ready(Entry& e, MobilePtr ptr) {
 
 bool Runtime::try_deliver_inline(MobilePtr dst, HandlerId handler,
                                  std::span<const std::byte> payload) {
-  if (!options_.enable_inline_delivery) return false;
   Entry* e = find_entry(dst);
   if (e == nullptr || e->state != Residency::kInCore || e->running) {
     return false;
@@ -523,26 +524,103 @@ std::vector<std::byte> Runtime::make_install_frame(MobilePtr ptr, Entry& e) {
 void Runtime::write_install_frame(util::ByteWriter& w, MobilePtr ptr,
                                   Entry& e) {
   assert(e.state == Residency::kInCore && e.obj != nullptr);
+  obs::ChargedSpan span(obs::Cat::kComp, "migrate.serialize",
+                        static_cast<std::uint16_t>(node_),
+                        &counters_.comp_time);
+  e.obj->on_unregister(*this);
+  write_object_record(w, ptr, e, e.epoch + 1);
+}
+
+std::span<const std::byte> Runtime::write_object_record(
+    util::ByteWriter& w, MobilePtr ptr, const Entry& e, std::uint64_t epoch,
+    std::span<const std::byte> spilled) {
   w.write(ptr.id);
   w.write(e.type);
-  w.write<std::uint64_t>(e.epoch + 1);
+  w.write(epoch);
   w.write(static_cast<std::int32_t>(e.priority));
   w.write<std::uint64_t>(e.queue.size());
-  for (auto& msg : e.queue) {
+  for (const auto& msg : e.queue) {
     w.write(msg.handler);
     w.write(msg.src);
     w.write_vector(msg.payload);
   }
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "migrate.serialize",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    e.obj->on_unregister(*this);
-    // Seal-in-place: the object serializes at its final offset in the frame
-    // and the CRC trailer is computed over the written span — the blob is
-    // never staged in a separate vector.
+  const std::size_t state_at = w.size() + sizeof(std::uint64_t);
+  if (spilled.empty()) {
+    assert(e.state == Residency::kInCore && e.obj != nullptr);
+    // Seal-in-place: the object serializes at its final offset in the
+    // record and the CRC trailer is computed over the written span — the
+    // blob is never staged in a separate vector.
     write_sealed(w, [&](util::ByteWriter& body) { e.obj->serialize(body); });
+  } else {
+    w.write<std::uint64_t>(spilled.size());
+    w.write_bytes(spilled);
   }
+  return w.bytes().subspan(state_at);
+}
+
+util::Result<Runtime::ObjectRecord> Runtime::read_object_record(
+    util::ByteReader& in, const char* span_name) {
+  ObjectRecord rec;
+  rec.ptr = MobilePtr{in.read<std::uint64_t>()};
+  rec.type = in.read<TypeId>();
+  rec.epoch = in.read<std::uint64_t>();
+  rec.priority = in.read<std::int32_t>();
+  const auto queue_len = in.read<std::uint64_t>();
+  for (std::uint64_t i = 0; i < queue_len; ++i) {
+    QueuedMessage msg;
+    msg.handler = in.read<HandlerId>();
+    msg.src = in.read<NodeId>();
+    msg.payload = in.read_vector<std::byte>();
+    rec.queue.push_back(std::move(msg));
+  }
+  auto state = unseal_blob(in.read_byte_span());
+  if (!state.is_ok() || rec.type >= registry_.type_count()) {
+    return util::Status(
+        util::StatusCode::kCorruption,
+        "object record for " + to_string(rec.ptr) + " rejected: " +
+            (state.is_ok() ? "unregistered type" : state.status().message()));
+  }
+  rec.obj = instantiate(rec.type, state.value(), span_name);
+  return rec;
+}
+
+std::unique_ptr<MobileObject> Runtime::instantiate(
+    TypeId type, std::span<const std::byte> state, const char* span_name) {
+  obs::ChargedSpan span(obs::Cat::kComp, span_name,
+                        static_cast<std::uint16_t>(node_),
+                        &counters_.comp_time);
+  auto obj = registry_.create(type);
+  util::ByteReader in(state);
+  obj->deserialize(in);
+  return obj;
+}
+
+void Runtime::install_object(ObjectRecord rec) {
+  const std::size_t fp = rec.obj->footprint_bytes();
+  while (ooc_.hard_pressure(fp) && spill_one_victim()) {
+  }
+  auto [it, inserted] = directory_.try_emplace(rec.ptr, Entry{});
+  Entry& e = it->second;
+  assert(e.state == Residency::kRemote || inserted);
+  e.state = Residency::kInCore;
+  e.type = rec.type;
+  e.obj = std::move(rec.obj);
+  e.priority = rec.priority;
+  e.footprint = fp;
+  e.epoch = rec.epoch;
+  e.queue = std::move(rec.queue);
+  e.load_wanted = false;
+  e.load_queued = false;
+  // Blob identity never survives a move: the sender erased its copy, and a
+  // restored object has no blob on the spill backend yet.
+  e.blob_bytes = 0;
+  e.blob_crc = 0;
+  e.stored_gen = 0;
+  ooc_.on_install(rec.ptr.id, fp);
+  e.obj->on_register(*this, rec.ptr);
+  queued_messages_.fetch_add(e.queue.size(), std::memory_order_acq_rel);
+  bump_activity();
+  if (!e.queue.empty()) push_ready(e, rec.ptr);
 }
 
 void Runtime::do_migrate(MobilePtr ptr, Entry& e, NodeId dst) {
@@ -572,64 +650,16 @@ void Runtime::do_migrate(MobilePtr ptr, Entry& e, NodeId dst) {
 }
 
 void Runtime::am_install(NodeId src, util::ByteReader& in) {
-  const MobilePtr ptr{in.read<std::uint64_t>()};
-  const auto type = in.read<TypeId>();
-  const auto epoch = in.read<std::uint64_t>();
-  const auto priority = in.read<std::int32_t>();
-  const auto queue_len = in.read<std::uint64_t>();
-  std::deque<QueuedMessage> queue;
-  for (std::uint64_t i = 0; i < queue_len; ++i) {
-    QueuedMessage msg;
-    msg.handler = in.read<HandlerId>();
-    msg.src = in.read<NodeId>();
-    msg.payload = in.read_vector<std::byte>();
-    queue.push_back(std::move(msg));
+  auto rec = read_object_record(in, "migrate.deserialize");
+  if (!rec.is_ok()) {
+    // A bad seal on the wire path is a broken transport, not a recoverable
+    // storage fault: fail fast.
+    throw std::runtime_error("mrts: migration " + rec.status().to_string());
   }
-  auto blob = in.read_vector<std::byte>();
-
-  auto obj = registry_.create(type);
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "migrate.deserialize",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    auto payload = unseal_blob(blob);
-    if (!payload.is_ok()) {
-      // A bad seal on the wire path is a broken transport, not a recoverable
-      // storage fault: fail fast.
-      throw std::runtime_error("mrts: migration blob for " + to_string(ptr) +
-                               " rejected: " + payload.status().to_string());
-    }
-    util::ByteReader body(payload.value());
-    obj->deserialize(body);
-  }
-  const std::size_t fp = obj->footprint_bytes();
-  while (ooc_.hard_pressure(fp) && spill_one_victim()) {
-  }
-
-  auto [it, inserted] = directory_.try_emplace(ptr, Entry{});
-  Entry& e = it->second;
-  assert(e.state == Residency::kRemote || inserted);
-  e.state = Residency::kInCore;
-  e.type = type;
-  e.obj = std::move(obj);
-  e.priority = priority;
-  e.footprint = fp;
-  e.epoch = epoch;
-  e.queue = std::move(queue);
-  e.load_wanted = false;
-  e.load_queued = false;
-  // Blob identity never survives a migration (the sender erased its copy).
-  e.blob_bytes = 0;
-  e.blob_crc = 0;
-  e.stored_gen = 0;
-  ooc_.on_install(ptr.id, fp);
-  e.obj->on_register(*this, ptr);
+  install_object(std::move(rec).value());
   counters_.migrations_in.fetch_add(1, std::memory_order_relaxed);
   obs::TraceRecorder::global().instant(obs::Cat::kOther, "migrate.in",
                                        static_cast<std::uint16_t>(node_), src);
-  queued_messages_.fetch_add(e.queue.size(), std::memory_order_acq_rel);
-  bump_activity();
-  if (!e.queue.empty()) push_ready(e, ptr);
 }
 
 void Runtime::am_migrate_request(NodeId /*src*/, util::ByteReader& in) {
@@ -751,12 +781,8 @@ void Runtime::send_multicast(std::vector<MobilePtr> targets,
 }
 
 void Runtime::am_multicast(NodeId /*src*/, util::ByteReader& in) {
-  const auto n = in.read<std::uint64_t>();
-  std::vector<MobilePtr> targets;
-  targets.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    targets.push_back(MobilePtr{in.read<std::uint64_t>()});
-  }
+  auto targets = in.read_vector_with<MobilePtr>(
+      [](util::ByteReader& r) { return MobilePtr{r.read<std::uint64_t>()}; });
   const auto deliver_count = in.read<std::uint32_t>();
   const auto handler = in.read<HandlerId>();
   const auto origin = in.read<NodeId>();
@@ -1152,15 +1178,7 @@ void Runtime::finish_load(Entry& e, MobilePtr ptr,
                           std::span<const std::byte> payload,
                           std::size_t blob_bytes) {
   assert(e.state == Residency::kLoading);
-  auto obj = registry_.create(e.type);
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "load.deserialize",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    util::ByteReader reader(payload);
-    obj->deserialize(reader);
-  }
-  e.obj = std::move(obj);
+  e.obj = instantiate(e.type, payload, "load.deserialize");
   e.state = Residency::kInCore;
   e.footprint = e.obj->footprint_bytes();
   e.load_wanted = false;
@@ -1248,15 +1266,7 @@ void Runtime::recover_failed_store(MobilePtr ptr, Entry& e,
     poison_object(ptr, e, FailureOp::kStore, cause);
     return;
   }
-  auto obj = registry_.create(e.type);
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "spill.reinstall",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    util::ByteReader reader(payload.value());
-    obj->deserialize(reader);
-  }
-  e.obj = std::move(obj);
+  e.obj = instantiate(e.type, payload.value(), "spill.reinstall");
   e.state = Residency::kInCore;
   e.footprint = e.obj->footprint_bytes();
   // The store never landed: the entry must not claim a blob, a CRC, or a
@@ -1514,21 +1524,8 @@ util::Status Runtime::checkpoint_to(util::ByteWriter& out) {
   out.write(count);
   for (auto& [ptr, e] : directory_) {
     if (e.state == Residency::kRemote || e.poisoned) continue;
-    out.write(ptr.id);
-    out.write(e.type);
-    out.write(static_cast<std::int32_t>(e.priority));
-    out.write<std::uint64_t>(e.queue.size());
-    for (const auto& msg : e.queue) {
-      out.write(msg.handler);
-      out.write(msg.src);
-      out.write_vector(msg.payload);
-    }
-    std::vector<std::byte> blob;
-    if (e.state == Residency::kInCore) {
-      util::ByteWriter body(e.footprint + 64);
-      e.obj->serialize(body);
-      blob = seal_blob(std::move(body));
-    } else {
+    std::vector<std::byte> spilled;
+    if (e.state != Residency::kInCore) {
       // Already spilled: the stored blob is sealed; copy it verbatim.
       auto loaded = store_.load_sync(ptr.id);
       if (!loaded.is_ok()) {
@@ -1537,23 +1534,25 @@ util::Status Runtime::checkpoint_to(util::ByteWriter& out) {
                                 to_string(ptr) + ": " +
                                 loaded.status().message());
       }
-      blob = std::move(loaded).value();
-      if (!sealed_blob_valid(blob)) {
+      spilled = std::move(loaded).value();
+      if (!sealed_blob_valid(spilled)) {
         return util::Status(util::StatusCode::kCorruption,
                             "checkpoint read a corrupt spill blob for " +
                                 to_string(ptr));
       }
     }
+    // A restored world restarts the epoch clock.
+    const auto sealed =
+        write_object_record(out, ptr, e, /*epoch=*/1, spilled);
     if (options_.recovery.checkpoint_store != nullptr) {
       // Side copy feeding the recovery ladder's checkpoint rung. Best
       // effort: a failed copy degrades recovery, not the checkpoint.
-      if (auto s = options_.recovery.checkpoint_store->store(ptr.id, blob);
+      if (auto s = options_.recovery.checkpoint_store->store(ptr.id, sealed);
           !s.is_ok()) {
         MRTS_LOG_WARN("node {}: checkpoint side-copy of {} failed: {}", node_,
                       to_string(ptr), s.to_string());
       }
     }
-    out.write_vector(blob);
   }
   return util::Status::ok();
 }
@@ -1561,83 +1560,33 @@ util::Status Runtime::checkpoint_to(util::ByteWriter& out) {
 util::Status Runtime::restore_from(util::ByteReader& in) {
   // Phase 1: parse and validate the whole image without touching runtime
   // state, so a truncated or corrupt checkpoint cannot install a partial
-  // world (ArchiveError covers reads past a truncated buffer).
-  struct PendingObject {
-    MobilePtr ptr;
-    TypeId type = 0;
-    std::int32_t priority = kDefaultPriority;
-    std::deque<QueuedMessage> queue;
-    std::unique_ptr<MobileObject> obj;
-    std::size_t footprint = 0;
-  };
+  // world (ArchiveError covers reads past a truncated buffer and an object
+  // count the remaining bytes cannot hold).
   std::uint64_t seq = 0;
-  std::vector<PendingObject> pending;
+  std::vector<util::Result<ObjectRecord>> records;
   try {
     seq = in.read<std::uint64_t>();
-    const auto count = in.read<std::uint64_t>();
-    pending.reserve(count);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      PendingObject p;
-      p.ptr = MobilePtr{in.read<std::uint64_t>()};
-      p.type = in.read<TypeId>();
-      p.priority = in.read<std::int32_t>();
-      const auto queue_len = in.read<std::uint64_t>();
-      for (std::uint64_t i = 0; i < queue_len; ++i) {
-        QueuedMessage msg;
-        msg.handler = in.read<HandlerId>();
-        msg.src = in.read<NodeId>();
-        msg.payload = in.read_vector<std::byte>();
-        p.queue.push_back(std::move(msg));
-      }
-      auto blob = in.read_vector<std::byte>();
-      auto payload = unseal_blob(blob);
-      if (!payload.is_ok()) {
-        return util::Status(util::StatusCode::kCorruption,
-                            "restore blob for " + to_string(p.ptr) +
-                                " rejected: " + payload.status().message());
-      }
-      p.obj = registry_.create(p.type);
-      util::ByteReader body(payload.value());
-      p.obj->deserialize(body);
-      p.footprint = p.obj->footprint_bytes();
-      if (const Entry* existing = find_entry(p.ptr);
-          existing != nullptr && existing->state != Residency::kRemote) {
-        return util::Status(util::StatusCode::kAlreadyExists,
-                            "restore over an existing local object " +
-                                to_string(p.ptr));
-      }
-      pending.push_back(std::move(p));
-    }
+    records = in.read_vector_with<util::Result<ObjectRecord>>(
+        [this](util::ByteReader& r) {
+          return read_object_record(r, "restore.deserialize");
+        });
   } catch (const util::ArchiveError& err) {
     return util::Status(util::StatusCode::kCorruption,
                         std::string("restore image truncated or malformed: ") +
                             err.what());
   }
+  for (const auto& rec : records) {
+    if (!rec.is_ok()) return rec.status();
+    if (hosts(rec.value().ptr)) {
+      return util::Status(util::StatusCode::kAlreadyExists,
+                          "restore over an existing local object " +
+                              to_string(rec.value().ptr));
+    }
+  }
 
   // Phase 2: install. Nothing below can fail.
   next_seq_ = std::max(next_seq_, seq);
-  for (auto& p : pending) {
-    while (ooc_.hard_pressure(p.footprint) && spill_one_victim()) {
-    }
-    auto [it, inserted] = directory_.try_emplace(p.ptr, Entry{});
-    Entry& e = it->second;
-    e.state = Residency::kInCore;
-    e.type = p.type;
-    e.obj = std::move(p.obj);
-    e.priority = p.priority;
-    e.footprint = p.footprint;
-    e.epoch = 1;  // restored world restarts the epoch clock
-    e.queue = std::move(p.queue);
-    // A restored object has no blob on the spill backend yet.
-    e.blob_bytes = 0;
-    e.blob_crc = 0;
-    e.stored_gen = 0;
-    ooc_.on_install(p.ptr.id, e.footprint);
-    e.obj->on_register(*this, p.ptr);
-    queued_messages_.fetch_add(e.queue.size(), std::memory_order_acq_rel);
-    bump_activity();
-    if (!e.queue.empty()) push_ready(e, p.ptr);
-  }
+  for (auto& rec : records) install_object(std::move(rec).value());
   return util::Status::ok();
 }
 
@@ -1765,49 +1714,27 @@ bool Runtime::steal_resolve(MobilePtr ptr, NodeId thief,
   // preserving the pre-claim local FIFO order. The handler never ran at the
   // thief (execution only happens after a commit), so this is exactly-once.
   util::ByteReader in(frame);
-  const MobilePtr check{in.read<std::uint64_t>()};
-  assert(check == ptr);
-  (void)check;
-  const auto type = in.read<TypeId>();
-  in.read<std::uint64_t>();  // claim epoch: unused, the entry kept its own
-  const auto priority = in.read<std::int32_t>();
-  const auto queue_len = in.read<std::uint64_t>();
-  std::deque<QueuedMessage> claimed;
-  for (std::uint64_t i = 0; i < queue_len; ++i) {
-    QueuedMessage msg;
-    msg.handler = in.read<HandlerId>();
-    msg.src = in.read<NodeId>();
-    msg.payload = in.read_vector<std::byte>();
-    claimed.push_back(std::move(msg));
-  }
-  auto blob = in.read_vector<std::byte>();
-  auto payload = unseal_blob(blob);
-  if (!payload.is_ok()) {
+  auto rec = read_object_record(in, "steal.rollback");
+  if (!rec.is_ok()) {
     // The image never left this process; a bad seal is a broken claim path,
     // not a recoverable storage fault.
-    throw std::runtime_error("mrts: steal rollback image for " +
-                             to_string(ptr) +
-                             " rejected: " + payload.status().to_string());
+    throw std::runtime_error("mrts: steal rollback " +
+                             rec.status().to_string());
   }
-  auto obj = registry_.create(type);
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "steal.rollback",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    util::ByteReader body(payload.value());
-    obj->deserialize(body);
-  }
-  const std::size_t fp = obj->footprint_bytes();
+  // The record's claim epoch is unused: the entry kept its own.
+  ObjectRecord& claimed = rec.value();
+  assert(claimed.ptr == ptr);
+  const std::size_t fp = claimed.obj->footprint_bytes();
   while (ooc_.hard_pressure(fp) && spill_one_victim()) {
   }
-  e->obj = std::move(obj);
-  e->type = type;
-  e->priority = priority;
+  e->obj = std::move(claimed.obj);
+  e->type = claimed.type;
+  e->priority = claimed.priority;
   e->footprint = fp;
-  for (auto it = claimed.rbegin(); it != claimed.rend(); ++it) {
-    e->queue.push_front(std::move(*it));
-  }
-  queued_messages_.fetch_add(queue_len, std::memory_order_acq_rel);
+  queued_messages_.fetch_add(claimed.queue.size(), std::memory_order_acq_rel);
+  e->queue.insert(e->queue.begin(),
+                  std::make_move_iterator(claimed.queue.begin()),
+                  std::make_move_iterator(claimed.queue.end()));
   e->stolen = false;
   e->steal_conflict = false;
   ooc_.on_install(ptr.id, fp);
@@ -1867,22 +1794,11 @@ std::vector<Runtime::RecoveredObject> Runtime::crash_export() {
     }
     if (blob.empty()) {
       rec.lost = true;
-      out.push_back(std::move(rec));
-      continue;
+    } else {
+      util::ByteWriter w(blob.size() + 256);
+      write_object_record(w, ptr, e, e.epoch + 1, blob);
+      rec.frame = w.take();
     }
-    util::ByteWriter w(blob.size() + 256);
-    w.write(ptr.id);
-    w.write(e.type);
-    w.write<std::uint64_t>(e.epoch + 1);
-    w.write(static_cast<std::int32_t>(e.priority));
-    w.write<std::uint64_t>(e.queue.size());
-    for (const auto& msg : e.queue) {
-      w.write(msg.handler);
-      w.write(msg.src);
-      w.write_vector(msg.payload);
-    }
-    w.write_vector(blob);
-    rec.frame = w.take();
     out.push_back(std::move(rec));
   }
   // Deterministic rebuild order regardless of hash-map iteration.

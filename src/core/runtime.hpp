@@ -63,15 +63,11 @@ class MembershipView {
 
 struct RuntimeOptions {
   OocOptions ooc;
-  tasking::PoolBackend pool_backend = tasking::PoolBackend::kWorkStealing;
   /// Workers for intra-handler task parallelism (the computing layer).
   std::size_t pool_workers = 1;
   /// Messages processed from one object's queue before the control layer
   /// considers switching to another object.
   std::size_t max_messages_per_turn = 64;
-  /// Enables Runtime::try_deliver_inline (the shared-memory shortcut used by
-  /// the optimized ONUPDR, paper §III "Optimization").
-  bool enable_inline_delivery = true;
   /// Lazy directory updates (paper [27]): after a forwarded delivery, every
   /// node on the route learns the object's current location. Disable to
   /// measure the cost of forwarding through stale entries forever.
@@ -138,8 +134,7 @@ inline constexpr net::AmHandlerId kAmReliableAck = 6;
 /// units small enough to matter.
 struct LoadBalanceOptions {
   bool enabled = false;
-  /// Rebalance when max_load > factor * min_load + slack.
-  double imbalance_factor = 2.0;
+  /// Rebalance when max_load > 2 * min_load + slack.
   std::uint64_t slack_messages = 8;
   /// Objects shed per advice.
   std::uint32_t objects_per_advice = 2;
@@ -202,7 +197,8 @@ class Runtime {
     send(dst, handler, w.take());
   }
 
-  /// Shared-memory shortcut: if `dst` is local and in-core, runs the handler
+  /// Shared-memory shortcut (used by the optimized ONUPDR, paper §III
+  /// "Optimization"): if `dst` is local and in-core, runs the handler
   /// synchronously on the calling (control) thread and returns true;
   /// otherwise returns false and the caller should fall back to send().
   bool try_deliver_inline(MobilePtr dst, HandlerId handler,
@@ -532,6 +528,21 @@ class Runtime {
     bool steal_conflict = false;
   };
 
+  /// One mobile object as it travels and rests: the single record format
+  /// of migration and steal frames, crash-export frames and checkpoint
+  /// images. On the wire:
+  ///   [id:u64][type:TypeId][epoch:u64][priority:i32][queue_len:u64]
+  ///   queue_len x [handler:HandlerId][src:NodeId][payload:u64 len + bytes]
+  ///   [sealed state:u64 len + serialized object + CRC32]
+  struct ObjectRecord {
+    MobilePtr ptr;
+    TypeId type = 0;
+    std::uint64_t epoch = 0;
+    int priority = kDefaultPriority;
+    std::deque<QueuedMessage> queue;
+    std::unique_ptr<MobileObject> obj;
+  };
+
   struct Completion {
     std::uint64_t key;
     bool is_load;
@@ -591,6 +602,11 @@ class Runtime {
   /// `blob_bytes` bytes.
   void finish_load(Entry& e, MobilePtr ptr, std::span<const std::byte> payload,
                    std::size_t blob_bytes);
+  /// Creates an object of `type` and deserializes it from `state`, charged
+  /// to comp as the `span_name` span. The one create+deserialize step of
+  /// every reload and install path.
+  [[nodiscard]] std::unique_ptr<MobileObject> instantiate(
+      TypeId type, std::span<const std::byte> state, const char* span_name);
   /// The one check a spill blob read back for `e` passes: its seal must
   /// hold and its seal CRC must equal the entry's blob_crc (a stale copy is
   /// corruption too). Returns the verified payload, or kCorruption. Its
@@ -630,8 +646,24 @@ class Runtime {
   /// Body of make_install_frame, writing into a caller-provided writer so
   /// the migration path can serialize straight into the reliable link's
   /// batch frame (zero-copy) while steal claims and crash export keep
-  /// their owned-vector form.
+  /// their owned-vector form. Unregisters the object.
   void write_install_frame(util::ByteWriter& w, MobilePtr ptr, Entry& e);
+  /// Writes the ObjectRecord of `e` at `epoch`. With `spilled` empty the
+  /// in-core object is serialized and sealed in place; otherwise `spilled`
+  /// is an already-verified sealed blob of it, copied verbatim. Returns the
+  /// sealed state as written (valid until `w` grows again).
+  std::span<const std::byte> write_object_record(
+      util::ByteWriter& w, MobilePtr ptr, const Entry& e, std::uint64_t epoch,
+      std::span<const std::byte> spilled = {});
+  /// Parses one ObjectRecord and instantiates its object under `span_name`.
+  /// A bad seal or an unregistered type is kCorruption; a truncated record
+  /// throws util::ArchiveError.
+  [[nodiscard]] util::Result<ObjectRecord> read_object_record(
+      util::ByteReader& in, const char* span_name);
+  /// Installs `rec` in core as a fresh hosted entry at the record's epoch,
+  /// first relieving hard pressure for its footprint: no blob identity,
+  /// registered, OOC-accounted and ready when its queue is non-empty.
+  void install_object(ObjectRecord rec);
   /// Membership guard: true when `n` is up / accepting under the installed
   /// view (vacuously true without one).
   [[nodiscard]] bool peer_up(NodeId n) const {

@@ -71,11 +71,9 @@ void ObjectStore::load_async(ObjectKey key, LoadCallback done) {
   }
   {
     std::lock_guard lock(mutex_);
-    if (options_.prioritize_loads) {
-      queue_.push_front(std::move(req));
-    } else {
-      queue_.push_back(std::move(req));
-    }
+    // Loads jump the queue: a pending load blocks a message handler, a
+    // pending store only delays reclamation.
+    queue_.push_front(std::move(req));
     sample_queue_depth_locked();
   }
   cv_.notify_one();

@@ -36,9 +36,6 @@ struct ObjectStoreOptions {
   /// Transient (kUnavailable) backend failures are retried under this policy
   /// before the error is propagated to the callback.
   RetryPolicy retry{};
-  /// Loads are served before stores when both are queued: a pending load
-  /// blocks a message handler, a pending store only delays reclamation.
-  bool prioritize_loads = true;
   /// Execute requests inline on the calling thread instead of on the I/O
   /// thread (no thread is spawned). Callbacks run before store_async /
   /// load_async return. Used by the deterministic chaos driver, where I/O

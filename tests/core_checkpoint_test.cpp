@@ -310,5 +310,108 @@ TEST_F(CheckpointTest, CorruptImageBelowTheFileCrcIsStillRejected) {
   EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
 }
 
+TEST_F(CheckpointTest, OversizedObjectCountBelowTheFileCrcIsRejected) {
+  // A CRC is not tamper-proof: a re-sealed file can claim 2^61 objects. The
+  // count must be checked against the bytes that follow it, not used to
+  // size an allocation.
+  World w;
+  make_populated_checkpoint(w, dir_);
+  const auto node0 = dir_ / "node0.ckpt";
+  std::vector<std::byte> file_bytes;
+  {
+    std::ifstream in(node0, std::ios::binary | std::ios::ate);
+    ASSERT_TRUE(in.good());
+    file_bytes.resize(static_cast<std::size_t>(in.tellg()));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(file_bytes.data()),
+            static_cast<std::streamsize>(file_bytes.size()));
+  }
+  // Node image: [next_seq:u64][object count:u64][records...], then the file
+  // CRC over the image.
+  ASSERT_GT(file_bytes.size(),
+            2 * sizeof(std::uint64_t) + sizeof(std::uint32_t));
+  const std::uint64_t count = std::uint64_t{1} << 61;
+  std::memcpy(file_bytes.data() + sizeof(std::uint64_t), &count,
+              sizeof(count));
+  std::span<const std::byte> image(file_bytes.data(),
+                                   file_bytes.size() - sizeof(std::uint32_t));
+  const std::uint32_t crc = util::crc32(image);
+  std::memcpy(file_bytes.data() + image.size(), &crc, sizeof(crc));
+  {
+    std::ofstream out(node0, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file_bytes.data()),
+              static_cast<std::streamsize>(file_bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  World w2;
+  util::Status s = restore_cluster(*w2.cluster, dir_);
+  EXPECT_EQ(s.code(), util::StatusCode::kCorruption);
+  EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
+}
+
+TEST_F(CheckpointTest, UnregisteredTypeInImageIsCorruption) {
+  World w;
+  (void)w.cluster->node(0).create<Box>(w.type);
+  util::ByteWriter image_writer;
+  ASSERT_TRUE(w.cluster->node(0).checkpoint_to(image_writer).is_ok());
+  std::vector<std::byte> image = image_writer.take();
+  // [next_seq:u64][object count:u64][id:u64][type:TypeId]...
+  const TypeId bogus = 999;
+  ASSERT_GT(image.size(), 3 * sizeof(std::uint64_t) + sizeof(bogus));
+  std::memcpy(image.data() + 3 * sizeof(std::uint64_t), &bogus, sizeof(bogus));
+
+  World w2;
+  util::ByteReader in(image);
+  EXPECT_EQ(w2.cluster->node(0).restore_from(in).code(),
+            util::StatusCode::kCorruption);
+  EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
+}
+
+TEST_F(CheckpointTest, EveryTruncatedImageIsRejectedByRestoreFrom) {
+  // The file CRC stops a truncated checkpoint file before restore_from sees
+  // it; this drives restore_from's own bounds checks directly with every
+  // strict prefix of a real image holding in-core and spilled objects with
+  // queued messages.
+  World w(/*budget_kb=*/1);
+  Runtime& src = w.cluster->node(0);
+  std::vector<MobilePtr> ptrs;
+  for (int i = 0; i < 4; ++i) {
+    auto [p, box] = src.create<Box>(w.type);
+    box->data.assign(48, static_cast<std::uint64_t>(i));
+    src.refresh_footprint(p);
+    ptrs.push_back(p);
+  }
+  ASSERT_FALSE(w.cluster->run().timed_out);
+  for (MobilePtr p : ptrs) src.send(p, w.h_add, arg_u64(3));  // left queued
+  std::size_t in_core = 0;
+  for (MobilePtr p : ptrs) in_core += src.is_in_core(p) ? 1 : 0;
+  ASSERT_GT(in_core, 0u);
+  ASSERT_LT(in_core, ptrs.size()) << "budget did not force any spills";
+  util::ByteWriter image_writer;
+  ASSERT_TRUE(src.checkpoint_to(image_writer).is_ok());
+  const std::vector<std::byte> image = image_writer.take();
+
+  World w2(/*budget_kb=*/1);
+  Runtime& dst = w2.cluster->node(0);
+  for (std::size_t len = 0; len < image.size(); ++len) {
+    util::ByteReader in(std::span<const std::byte>(image).first(len));
+    ASSERT_EQ(dst.restore_from(in).code(), util::StatusCode::kCorruption)
+        << "prefix of " << len << " of " << image.size() << " bytes";
+    ASSERT_EQ(dst.local_objects(), 0u) << "partial restore at " << len;
+  }
+  util::ByteReader whole(image);
+  ASSERT_TRUE(dst.restore_from(whole).is_ok());
+  EXPECT_EQ(dst.local_objects(), ptrs.size());
+  ASSERT_FALSE(w2.cluster->run().timed_out);  // runs the restored queues
+  w2.lock_all(ptrs);
+  for (std::size_t i = 0; i < ptrs.size(); ++i) {
+    Box* box = w2.find(ptrs[i]);
+    ASSERT_NE(box, nullptr);
+    EXPECT_EQ(box->value, 3u);
+    EXPECT_EQ(box->data.back(), i);
+  }
+}
+
 }  // namespace
 }  // namespace mrts::core
