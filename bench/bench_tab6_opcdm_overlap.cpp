@@ -23,7 +23,7 @@ int main() {
 
   Table t({"elements (10^3)", "total (s)", "comp %", "comm %", "disk %",
            "overlap %", "span comp %", "span comm %", "span disk %",
-           "span ovl %"});
+           "span ovl %", "loads", "reclaimed"});
   for (std::size_t target : {40000, 80000, 160000, 320000}) {
     const auto problem = uniform_problem(target);
     auto cluster = ooc_cluster(4, 4096, core::SpillMedium::kFile);
@@ -39,7 +39,8 @@ int main() {
     t.row(ooc.mesh.elements / 1000, ooc.report.total_seconds,
           ooc.report.comp_pct(), ooc.report.comm_pct(), ooc.report.disk_pct(),
           ooc.report.overlap_pct(), span.comp_pct(), span.comm_pct(),
-          span.disk_pct(), span.overlap_pct());
+          span.disk_pct(), span.overlap_pct(), ooc.objects_loaded,
+          ooc.reclaims);
   }
   report.add("breakdown", std::move(t));
   return 0;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <iterator>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -38,6 +39,9 @@ Runtime::Runtime(NodeId node, net::Endpoint& endpoint,
       ooc_misses_(&obs::MetricsRegistry::global().counter("ooc.misses")),
       ooc_evictions_(&obs::MetricsRegistry::global().counter("ooc.evictions")),
       ooc_elisions_(&obs::MetricsRegistry::global().counter("ooc.elisions")),
+      ooc_reclaims_(&obs::MetricsRegistry::global().counter("ooc.reclaims")),
+      ooc_reclaimed_bytes_(
+          &obs::MetricsRegistry::global().counter("ooc.reclaimed_bytes")),
       ooc_(options.ooc),
       store_(std::move(spill_backend), &counters_.disk_time,
              storage::ObjectStoreOptions{
@@ -193,10 +197,15 @@ void Runtime::destroy(MobilePtr ptr) {
     e.obj->on_unregister(*this);
     ooc_.on_remove(ptr.id);
   }
-  if (e.state == Residency::kOnDisk || e.blob_bytes > 0) {
-    store_.erase(ptr.id);  // ignore kNotFound for in-flight states
-    ooc_.on_spill_erased(ptr.id);
+  // A spill still queued is taken back and its bytes dropped. One that
+  // already ran (or is running) lands its blob; the erase below removes it,
+  // and the completion, finding no entry, erases again after a late landing.
+  bool on_backend = e.blob_bytes > 0;
+  if (e.state == Residency::kStoring) {
+    on_backend |= !take_back_spill(ptr).has_value();
   }
+  if (on_backend) store_.erase(ptr.id);  // ignore kNotFound
+  ooc_.on_spill_erased(ptr.id);
   if (options_.recovery.checkpoint_store) {
     options_.recovery.checkpoint_store->erase(ptr.id);  // drop stale copy
   }
@@ -345,11 +354,26 @@ void Runtime::enqueue_local(Entry& e, MobilePtr ptr, QueuedMessage msg) {
   if (e.state == Residency::kInCore) {
     ooc_.on_access(ptr.id);
     push_ready(e, ptr);
-  } else if (e.state == Residency::kOnDisk && !e.load_queued) {
-    e.load_queued = true;
-    load_queue_.push_back(ptr);
+  } else {
+    want_load(e, ptr);  // kLoading: finish_load re-examines the queue
   }
-  // kLoading / kStoring: the completion path re-examines the queue.
+}
+
+bool Runtime::want_load(Entry& e, MobilePtr ptr) {
+  if (e.state != Residency::kOnDisk && e.state != Residency::kStoring) {
+    return false;
+  }
+  e.load_wanted = true;
+  // Under synchronous storage a kStoring object's store has already run
+  // (only its completion is pending), so there is nothing to reclaim: the
+  // completion queues the load, exactly as for a store that is executing.
+  if (e.load_queued ||
+      (e.state == Residency::kStoring && options_.synchronous_storage)) {
+    return false;
+  }
+  e.load_queued = true;
+  load_queue_.push_back(ptr);
+  return true;
 }
 
 void Runtime::push_ready(Entry& e, MobilePtr ptr) {
@@ -393,14 +417,7 @@ void Runtime::lock_in_core(MobilePtr ptr) {
   if (e.stolen) e.steal_conflict = true;  // conflicting mutation: claim aborts
   ++e.lock_count;
   if (e.poisoned) return;  // nothing loadable; health says kPoisoned
-  if (e.state == Residency::kOnDisk || e.state == Residency::kStoring) {
-    e.load_wanted = true;
-    if (e.state == Residency::kOnDisk && !e.load_queued) {
-      e.load_queued = true;
-      load_queue_.push_back(ptr);
-    }
-    bump_activity();
-  }
+  if (want_load(e, ptr)) bump_activity();
 }
 
 void Runtime::unlock(MobilePtr ptr) {
@@ -417,14 +434,7 @@ void Runtime::set_priority(MobilePtr ptr, int priority) {
 void Runtime::prefetch(MobilePtr ptr) {
   Entry* e = find_entry(ptr);
   if (e == nullptr || e->state == Residency::kRemote || e->poisoned) return;
-  if (e->state == Residency::kOnDisk || e->state == Residency::kStoring) {
-    e->load_wanted = true;
-    if (e->state == Residency::kOnDisk && !e->load_queued) {
-      e->load_queued = true;
-      load_queue_.push_back(ptr);
-    }
-    bump_activity();
-  }
+  if (want_load(*e, ptr)) bump_activity();
 }
 
 void Runtime::refresh_footprint(MobilePtr ptr) {
@@ -490,13 +500,7 @@ void Runtime::migrate(MobilePtr ptr, NodeId dst) {
     do_migrate(ptr, e, dst);
     return;
   }
-  if (e.state == Residency::kOnDisk || e.state == Residency::kStoring) {
-    e.load_wanted = true;
-    if (e.state == Residency::kOnDisk && !e.load_queued) {
-      e.load_queued = true;
-      load_queue_.push_back(ptr);
-    }
-  }
+  want_load(e, ptr);
   // Coalesce: a repeated migrate() while one is pending just retargets it
   // (two pins for one object could never both see lock_count == 1 and
   // would deadlock).
@@ -863,18 +867,9 @@ bool Runtime::advance_multicasts() {
         }
         continue;
       }
-      if (e->state == Residency::kOnDisk || e->state == Residency::kStoring) {
-        all_ready = false;
-        e->load_wanted = true;
-        if (e->state == Residency::kOnDisk && !e->load_queued) {
-          e->load_queued = true;
-          load_queue_.push_back(ptr);
-          did = true;
-        }
-        continue;
-      }
       if (e->state != Residency::kInCore || e->running) {
         all_ready = false;
+        did |= want_load(*e, ptr);  // on disk or spilling: bring it in
         continue;
       }
       if (e->collect_for == 0) {
@@ -1007,10 +1002,10 @@ void Runtime::spill(MobilePtr ptr, Entry& e) {
     }
     return;
   }
-  // The generation this spill captures; recorded on the entry only when the
+  // The generation this spill captures; it becomes stored_gen only when the
   // store completes OK (a failed write-behind store must not leave the
   // entry claiming a CRC for bytes that never landed).
-  const std::uint64_t spill_gen = e.obj->dirty_generation();
+  e.spill_gen = e.obj->dirty_generation();
   util::ByteWriter body(e.footprint + 64);
   {
     obs::ChargedSpan span(obs::Cat::kComp, "spill.serialize",
@@ -1030,10 +1025,10 @@ void Runtime::spill(MobilePtr ptr, Entry& e) {
   ooc_.on_remove(ptr.id);
   e.state = Residency::kStoring;
   e.in_ready_list = false;  // stale ready entries skip on state check
-  e.blob_bytes = blob.size();
   // Content identity of this spill: a reload must produce exactly these
   // bytes. Catches a stale replica serving an older (seal-valid) version.
-  e.blob_crc = sealed_crc(blob);
+  e.spill_crc = sealed_crc(blob);
+  // The hard threshold counts the blob from the moment it is on its way.
   ooc_.on_spilled(ptr.id, blob.size());
   counters_.objects_spilled.fetch_add(1, std::memory_order_relaxed);
   counters_.bytes_spilled.fetch_add(blob.size(), std::memory_order_relaxed);
@@ -1046,15 +1041,15 @@ void Runtime::spill(MobilePtr ptr, Entry& e) {
   write_behind_inflight_bytes_ += spill_bytes;
   store_.store_async(
       ptr.id, std::move(blob),
-      [this, ptr, spill_bytes,
-       spill_gen](util::Status s, std::vector<std::byte> payload) {
+      [this, ptr, spill_bytes](util::Status s,
+                               std::vector<std::byte> payload) {
         // On failure `payload` is the sealed blob handed back by the storage
         // layer — the object's only remaining copy; the control thread
         // reinstalls it in core.
         std::lock_guard lock(completions_mutex_);
         completions_.push_back(Completion{ptr.id, /*is_load=*/false,
                                           std::move(s), std::move(payload),
-                                          spill_bytes, spill_gen});
+                                          spill_bytes});
         completions_available_.fetch_add(1, std::memory_order_release);
       });
 }
@@ -1069,8 +1064,25 @@ bool Runtime::schedule_loads() {
     Entry* e = find_entry(ptr);
     if (e == nullptr) continue;
     e->load_queued = false;
-    if (e->state != Residency::kOnDisk || e->poisoned) continue;
-    if (!e->queue.empty() || e->load_wanted) {
+    if (e->poisoned || (e->queue.empty() && !e->load_wanted)) continue;
+    if (e->state == Residency::kStoring) {
+      // Write-behind reclaim: a store still waiting in the I/O queue holds
+      // the object's sealed bytes in RAM, so take them back instead of
+      // paying a device store and then a device load. A store that already
+      // started lands, and its completion queues the load.
+      if (auto blob = take_back_spill(ptr)) {
+        if (auto s = reinstall_spill(ptr, *e, *blob, "spill.reclaim");
+            s.is_ok()) {
+          ooc_reclaims_->inc();
+          ooc_reclaimed_bytes_->inc(blob->size());
+        } else {
+          poison_object(ptr, *e, FailureOp::kStore, s);
+        }
+        did = true;
+      }
+      continue;
+    }
+    if (e->state == Residency::kOnDisk) {
       // Make room before reading the blob back in — strict victims only:
       // evicting another object that still has queued messages here can
       // ping-pong two ready objects through the disk forever when the
@@ -1125,7 +1137,7 @@ bool Runtime::drain_completions() {
       --outstanding_loads_;
       if (e == nullptr) continue;  // destroyed mid-flight
       auto payload =
-          c.status.is_ok() ? verified_payload(*e, c.bytes) : c.status;
+          c.status.is_ok() ? verified_payload(e->blob_crc, c.bytes) : c.status;
       if (payload.is_ok()) {
         finish_load(*e, ptr, payload.value(), c.bytes.size());
         continue;
@@ -1138,23 +1150,25 @@ bool Runtime::drain_completions() {
       // outcome (even when the entry was destroyed mid-flight).
       assert(write_behind_inflight_bytes_ >= c.spill_bytes);
       write_behind_inflight_bytes_ -= c.spill_bytes;
-      if (c.status.is_ok()) {
-        if (e == nullptr) continue;
-        if (e->state == Residency::kStoring) {
-          e->state = Residency::kOnDisk;
-          // The blob landed: only now does the entry claim its generation
-          // (and keep the CRC recorded at serialize time honest).
-          e->stored_gen = c.spill_gen;
-          if ((!e->queue.empty() || e->load_wanted) && !e->load_queued) {
-            e->load_queued = true;
-            load_queue_.push_back(ptr);
-          }
-        }
+      if (e == nullptr) {
+        // Destroyed mid-flight: its erase may have run before this store
+        // landed, so erase the blob that did.
+        if (c.status.is_ok()) store_.erase(ptr.id);
         continue;
       }
-      if (e == nullptr) continue;  // destroyed mid-flight; nothing to save
-      if (e->state == Residency::kStoring) {
+      if (e->state != Residency::kStoring) continue;
+      if (!c.status.is_ok()) {
         recover_failed_store(ptr, *e, c.status, std::move(c.bytes));
+        continue;
+      }
+      e->state = Residency::kOnDisk;
+      // The blob landed: only now does the entry claim its identity.
+      e->blob_bytes = c.spill_bytes;
+      e->blob_crc = e->spill_crc;
+      e->stored_gen = e->spill_gen;
+      if ((!e->queue.empty() || e->load_wanted) && !e->load_queued) {
+        e->load_queued = true;
+        load_queue_.push_back(ptr);
       }
     }
   }
@@ -1162,12 +1176,12 @@ bool Runtime::drain_completions() {
 }
 
 util::Result<std::span<const std::byte>> Runtime::verified_payload(
-    const Entry& e, std::span<const std::byte> blob) {
+    std::uint32_t crc, std::span<const std::byte> blob) {
   obs::ChargedSpan span(obs::Cat::kComp, "load.verify",
                         static_cast<std::uint16_t>(node_),
                         &counters_.comp_time);
   auto payload = unseal_blob(blob);
-  if (!payload.is_ok() || sealed_crc(blob) != e.blob_crc) {
+  if (!payload.is_ok() || sealed_crc(blob) != crc) {
     return util::Status(util::StatusCode::kCorruption,
                         "loaded blob failed seal/content verification");
   }
@@ -1220,8 +1234,8 @@ void Runtime::recover_failed_load(MobilePtr ptr, Entry& e,
   // transient fault window that outlived the async attempt may be over, and
   // a replicated backend repairs itself on exactly this kind of read.
   auto again = store_.load_sync(ptr.id);
-  auto payload =
-      again.is_ok() ? verified_payload(e, again.value()) : again.status();
+  auto payload = again.is_ok() ? verified_payload(e.blob_crc, again.value())
+                               : again.status();
   if (payload.is_ok()) {
     counters_.loads_recovered.fetch_add(1, std::memory_order_relaxed);
     ledger_.add(FailureRecord{ptr, node_, FailureOp::kLoad,
@@ -1239,7 +1253,7 @@ void Runtime::recover_failed_load(MobilePtr ptr, Entry& e,
   if (options_.recovery.checkpoint_store != nullptr) {
     auto cp = options_.recovery.checkpoint_store->load(ptr.id);
     auto cp_payload =
-        cp.is_ok() ? verified_payload(e, cp.value()) : cp.status();
+        cp.is_ok() ? verified_payload(e.blob_crc, cp.value()) : cp.status();
     if (cp_payload.is_ok()) {
       counters_.checkpoint_recoveries.fetch_add(1, std::memory_order_relaxed);
       ledger_.add(FailureRecord{ptr, node_, FailureOp::kLoad,
@@ -1259,24 +1273,12 @@ void Runtime::recover_failed_store(MobilePtr ptr, Entry& e,
                                    const util::Status& cause,
                                    std::vector<std::byte> bytes) {
   // The storage layer hands a failed store's payload back: undo the
-  // eviction and reinstall the object in core from it. Verify anyway —
+  // eviction and reinstall the object in core from it. Verified anyway —
   // these bytes are the object's only copy.
-  auto payload = verified_payload(e, bytes);
-  if (!payload.is_ok()) {
+  if (!reinstall_spill(ptr, e, bytes, "spill.reinstall").is_ok()) {
     poison_object(ptr, e, FailureOp::kStore, cause);
     return;
   }
-  e.obj = instantiate(e.type, payload.value(), "spill.reinstall");
-  e.state = Residency::kInCore;
-  e.footprint = e.obj->footprint_bytes();
-  // The store never landed: the entry must not claim a blob, a CRC, or a
-  // stored generation for bytes that are not on the backend.
-  e.blob_bytes = 0;
-  e.blob_crc = 0;
-  e.stored_gen = 0;
-  ooc_.on_spill_erased(ptr.id);
-  ooc_.on_install(ptr.id, e.footprint);
-  e.obj->on_register(*this, ptr);
   counters_.spills_reinstalled.fetch_add(1, std::memory_order_relaxed);
   ledger_.add(FailureRecord{ptr, node_, FailureOp::kStore,
                             FailureResolution::kReinstalled, cause.code(),
@@ -1284,13 +1286,50 @@ void Runtime::recover_failed_store(MobilePtr ptr, Entry& e,
   obs::TraceRecorder::global().instant(obs::Cat::kDisk, "recover.reinstall",
                                        static_cast<std::uint16_t>(node_),
                                        ptr.id);
+}
+
+util::Status Runtime::reinstall_spill(MobilePtr ptr, Entry& e,
+                                      std::span<const std::byte> blob,
+                                      const char* span_name) {
+  assert(e.state == Residency::kStoring);
+  // The spill never landed: whatever the backend holds for this key is the
+  // previous blob, still described by blob_* and stored_gen, and the hard
+  // threshold goes back to counting that one.
+  if (e.blob_bytes > 0) {
+    ooc_.on_spilled(ptr.id, e.blob_bytes);
+  } else {
+    ooc_.on_spill_erased(ptr.id);
+  }
+  auto payload = verified_payload(e.spill_crc, blob);
+  if (!payload.is_ok()) return payload.status();
+  e.obj = instantiate(e.type, payload.value(), span_name);
+  // The instance serializes exactly the spill's generation, which differs
+  // from stored_gen: a later eviction stores it instead of eliding against
+  // the older blob.
+  e.obj->sync_generation(e.spill_gen);
+  e.state = Residency::kInCore;
+  e.footprint = e.obj->footprint_bytes();
+  e.load_wanted = false;
+  ooc_.on_install(ptr.id, e.footprint);
+  e.obj->on_register(*this, ptr);
   if (!e.queue.empty()) push_ready(e, ptr);
   bump_activity();
   // The reinstall may exceed the budget; strict relief only — the relaxed
-  // pass could evict this same queued object straight back into the sick
-  // store and livelock the reinstall cycle.
+  // pass could evict this same queued object straight back out and
+  // livelock the reinstall cycle.
   while (ooc_.hard_pressure(0) && spill_one_victim(/*allow_relaxed=*/false)) {
   }
+  return util::Status::ok();
+}
+
+std::optional<std::vector<std::byte>> Runtime::take_back_spill(MobilePtr ptr) {
+  auto blob = store_.reclaim_store(ptr.id);
+  if (blob) {
+    --outstanding_stores_;
+    assert(write_behind_inflight_bytes_ >= blob->size());
+    write_behind_inflight_bytes_ -= blob->size();
+  }
+  return blob;
 }
 
 void Runtime::poison_object(MobilePtr ptr, Entry& e, FailureOp op,
@@ -1575,8 +1614,14 @@ util::Status Runtime::restore_from(util::ByteReader& in) {
                         std::string("restore image truncated or malformed: ") +
                             err.what());
   }
+  std::unordered_set<MobilePtr> ids;
   for (const auto& rec : records) {
     if (!rec.is_ok()) return rec.status();
+    if (!ids.insert(rec.value().ptr).second) {
+      return util::Status(util::StatusCode::kCorruption,
+                          "restore image names " + to_string(rec.value().ptr) +
+                              " twice");
+    }
     if (hosts(rec.value().ptr)) {
       return util::Status(util::StatusCode::kAlreadyExists,
                           "restore over an existing local object " +
@@ -1784,11 +1829,11 @@ std::vector<Runtime::RecoveredObject> Runtime::crash_export() {
     // rung); read it back through the same verification a reload uses.
     std::vector<std::byte> blob;
     if (auto loaded = store_.load_sync(ptr.id);
-        loaded.is_ok() && verified_payload(e, loaded.value()).is_ok()) {
+        loaded.is_ok() && verified_payload(e.blob_crc, loaded.value()).is_ok()) {
       blob = std::move(loaded).value();
     } else if (options_.recovery.checkpoint_store != nullptr) {
       if (auto cp = options_.recovery.checkpoint_store->load(ptr.id);
-          cp.is_ok() && verified_payload(e, cp.value()).is_ok()) {
+          cp.is_ok() && verified_payload(e.blob_crc, cp.value()).is_ok()) {
         blob = std::move(cp).value();
       }
     }

@@ -48,27 +48,22 @@ void Pslg::serialize(util::ByteWriter& out) const {
 }
 
 Pslg Pslg::deserialized(util::ByteReader& in) {
+  // Counts go through read_vector_with, which rejects one larger than the
+  // remaining payload before anything is reserved.
+  const auto read_point = [](util::ByteReader& r) {
+    const double x = r.read<double>();
+    const double y = r.read<double>();
+    return Point2{x, y};
+  };
   Pslg g;
-  const auto np = in.read<std::uint64_t>();
-  g.points.reserve(np);
-  for (std::uint64_t i = 0; i < np; ++i) {
-    const double x = in.read<double>();
-    const double y = in.read<double>();
-    g.points.push_back({x, y});
-  }
-  const auto ns = in.read<std::uint64_t>();
-  g.segments.reserve(ns);
-  for (std::uint64_t i = 0; i < ns; ++i) {
-    const auto a = in.read<std::uint32_t>();
-    const auto b = in.read<std::uint32_t>();
-    g.segments.emplace_back(a, b);
-  }
-  const auto nh = in.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < nh; ++i) {
-    const double x = in.read<double>();
-    const double y = in.read<double>();
-    g.holes.push_back({x, y});
-  }
+  g.points = in.read_vector_with<Point2>(read_point);
+  g.segments = in.read_vector_with<std::pair<std::uint32_t, std::uint32_t>>(
+      [](util::ByteReader& r) {
+        const auto a = r.read<std::uint32_t>();
+        const auto b = r.read<std::uint32_t>();
+        return std::pair{a, b};
+      });
+  g.holes = in.read_vector_with<Point2>(read_point);
   return g;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/format.hpp"
 #include "util/log.hpp"
@@ -19,21 +20,6 @@ using core::Runtime;
 using core::TypeId;
 
 constexpr std::uint32_t kNoOrigin = std::numeric_limits<std::uint32_t>::max();
-
-void write_splits(util::ByteWriter& w, const std::vector<BoundarySplit>& v) {
-  w.write<std::uint32_t>(static_cast<std::uint32_t>(v.size()));
-  for (const BoundarySplit& s : v) s.serialize(w);
-}
-
-std::vector<BoundarySplit> read_splits(util::ByteReader& r) {
-  const auto n = r.read<std::uint32_t>();
-  std::vector<BoundarySplit> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    v.push_back(BoundarySplit::deserialized(r));
-  }
-  return v;
-}
 
 /// A decomposition cell as a mobile object: the unit of out-of-core
 /// swapping and migration in all three methods.
@@ -62,6 +48,12 @@ class OocApp {
   OocApp(const MeshProblem& problem, const core::ClusterOptions& options,
          Decomposition decomp)
       : problem_(problem), cluster_(options), decomp_(std::move(decomp)) {}
+
+  /// The write-behind reclaim counter lives in the registry only, which is
+  /// process-wide: the run reports its delta from here to finish().
+  [[nodiscard]] static std::uint64_t reclaims_now() {
+    return obs::MetricsRegistry::global().counter("ooc.reclaims").value();
+  }
 
   Cluster& cluster() { return cluster_; }
   [[nodiscard]] std::size_t cell_count() const { return decomp_.size(); }
@@ -170,6 +162,7 @@ class OocApp {
         cluster_.sum_counters([](const core::NodeCounters& c) {
           return c.bytes_spill_elided.load();
         });
+    result.reclaims = reclaims_now() - reclaims_before_;
     result.messages_executed = cluster_.sum_counters(
         [](const core::NodeCounters& c) { return c.messages_executed.load(); });
     result.inline_deliveries = cluster_.sum_counters(
@@ -211,6 +204,7 @@ class OocApp {
   std::vector<MobilePtr> cells_;
   TypeId cell_type_ = 0;
   std::vector<core::BusyTimes> span_before_;
+  std::uint64_t reclaims_before_ = reclaims_now();
 };
 
 // ---------------------------------------------------------------------------
@@ -291,9 +285,7 @@ class UpdrCoordinator : public MobileObject {
     waiting = in.read<std::uint32_t>();
     phase = in.read<std::uint64_t>();
     dirty = in.read_vector<std::uint8_t>();
-    const auto n = in.read<std::uint64_t>();
-    pending.resize(n);
-    for (auto& v : pending) v = read_splits(in);
+    pending = in.read_vector_with<std::vector<BoundarySplit>>(read_splits);
   }
   std::size_t footprint_bytes() const override {
     std::size_t bytes = sizeof(*this) + dirty.size();
@@ -468,9 +460,7 @@ class RefinementQueue : public MobileObject {
   void deserialize(util::ByteReader& in) override {
     dirty = in.read_vector<std::uint8_t>();
     busy = in.read_vector<std::uint8_t>();
-    const auto n = in.read<std::uint64_t>();
-    pending.resize(n);
-    for (auto& v : pending) v = read_splits(in);
+    pending = in.read_vector_with<std::vector<BoundarySplit>>(read_splits);
     const auto m = in.read<std::uint64_t>();
     for (std::uint64_t i = 0; i < m; ++i) {
       const auto k = in.read<std::uint32_t>();
@@ -679,11 +669,11 @@ class OnupdrApp : public OocApp {
 
 std::string OocRunResult::summary() const {
   return util::format(
-      "{} | spills {} ({} MB), elided {} ({} MB), loads {} ({} MB), msgs {}, "
-      "inline {}, migrations {} | comp {:.1f}% comm {:.1f}% disk {:.1f}% "
-      "overlap {:.1f}%",
+      "{} | spills {} ({} MB), elided {} ({} MB), reclaimed {}, loads {} ({} "
+      "MB), msgs {}, inline {}, migrations {} | comp {:.1f}% comm {:.1f}% "
+      "disk {:.1f}% overlap {:.1f}%",
       mesh.summary(), objects_spilled, bytes_spilled >> 20, spills_elided,
-      bytes_spill_elided >> 20, objects_loaded, bytes_loaded >> 20,
+      bytes_spill_elided >> 20, reclaims, objects_loaded, bytes_loaded >> 20,
       messages_executed, inline_deliveries, migrations, report.comp_pct(),
       report.comm_pct(), report.disk_pct(), report.overlap_pct());
 }

@@ -40,6 +40,10 @@ struct OocRunResult {
   /// reload traffic; see RuntimeOptions::spill_elision).
   std::uint64_t spills_elided = 0;
   std::uint64_t bytes_spill_elided = 0;
+  /// Write-behind reclaims: spills taken back from the storage queue before
+  /// their store ran, because a message or lock wanted the object (registry
+  /// counter ooc.reclaims; process-wide, so overlapping runs share it).
+  std::uint64_t reclaims = 0;
   std::uint64_t messages_executed = 0;
   std::uint64_t inline_deliveries = 0;
   std::uint64_t migrations = 0;

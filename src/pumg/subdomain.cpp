@@ -26,6 +26,25 @@ BoundarySplit BoundarySplit::deserialized(util::ByteReader& in) {
   return s;
 }
 
+void write_splits(util::ByteWriter& w, const std::vector<BoundarySplit>& v) {
+  w.write<std::uint32_t>(static_cast<std::uint32_t>(v.size()));
+  for (const BoundarySplit& s : v) s.serialize(w);
+}
+
+std::vector<BoundarySplit> read_splits(util::ByteReader& r) {
+  const auto n = r.read<std::uint32_t>();
+  // Checked before the reserve: every split encodes to at least one byte.
+  if (n > r.remaining()) {
+    throw util::ArchiveError("split count exceeds remaining payload");
+  }
+  std::vector<BoundarySplit> v;
+  v.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    v.push_back(BoundarySplit::deserialized(r));
+  }
+  return v;
+}
+
 PointKey::PointKey(const Point2& p) {
   std::memcpy(&x, &p.x, sizeof(double));
   std::memcpy(&y, &p.y, sizeof(double));
@@ -299,6 +318,11 @@ void Subdomain::deserialize(util::ByteReader& in) {
   tri_ = mesh::Triangulation::deserialized(in);
   seg_side_ = in.read_vector<std::int32_t>();
   const auto n = in.read<std::uint64_t>();
+  // Checked before the reserve: a forged count is an ArchiveError, not a
+  // length_error or an allocation the payload could never fill.
+  if (n > in.remaining() / (sizeof(PointKey) + sizeof(VertexId))) {
+    throw util::ArchiveError("border vertex count exceeds remaining payload");
+  }
   border_verts_.clear();
   border_verts_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

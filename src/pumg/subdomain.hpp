@@ -52,6 +52,12 @@ struct BoundarySplit {
   static BoundarySplit deserialized(util::ByteReader& in);
 };
 
+/// A split list as the out-of-core drivers carry it in messages and
+/// coordinator state: [count:u32] count x BoundarySplit. read_splits throws
+/// util::ArchiveError for a count larger than the remaining payload.
+void write_splits(util::ByteWriter& w, const std::vector<BoundarySplit>& v);
+std::vector<BoundarySplit> read_splits(util::ByteReader& r);
+
 /// Hashable bitwise key for exact point identity.
 struct PointKey {
   std::uint64_t x = 0, y = 0;

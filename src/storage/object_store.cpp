@@ -1,6 +1,8 @@
 #include "storage/object_store.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -77,6 +79,24 @@ void ObjectStore::load_async(ObjectKey key, LoadCallback done) {
     sample_queue_depth_locked();
   }
   cv_.notify_one();
+}
+
+std::optional<std::vector<std::byte>> ObjectStore::reclaim_store(
+    ObjectKey key) {
+  std::lock_guard lock(mutex_);
+  // Only queued requests are candidates: io_loop pops a request under this
+  // mutex before executing it, so a store found here has not started.
+  const auto it = std::find_if(queue_.rbegin(), queue_.rend(),
+                               [key](const Request& req) {
+                                 return req.is_store && req.key == key;
+                               });
+  if (it == queue_.rend()) return std::nullopt;
+  std::vector<std::byte> bytes = std::move(it->bytes);
+  queue_.erase(std::next(it).base());
+  store_bytes_in_flight_.fetch_sub(bytes.size(), std::memory_order_acq_rel);
+  sample_queue_depth_locked();
+  if (queue_.empty() && in_flight_ == 0) drained_cv_.notify_all();
+  return bytes;
 }
 
 void ObjectStore::backoff(ObjectKey key, int attempt) {

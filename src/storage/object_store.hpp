@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "storage/backend.hpp"
@@ -63,6 +64,13 @@ class ObjectStore {
 
   /// Enqueues a read; `done` runs on the I/O thread with the result.
   void load_async(ObjectKey key, LoadCallback done);
+
+  /// Write-behind reclaim: takes back the most recently queued store of
+  /// `key` if it has not started executing. Its payload is returned, its
+  /// bytes leave in_flight_store_bytes(), and its callback never runs.
+  /// Empty when no such store is queued: it is executing, has completed, or
+  /// ran inline (synchronous mode) — its callback then runs as usual.
+  std::optional<std::vector<std::byte>> reclaim_store(ObjectKey key);
 
   /// Synchronous helpers (execute on the calling thread, still retried).
   util::Status store_sync(ObjectKey key, std::span<const std::byte> bytes);

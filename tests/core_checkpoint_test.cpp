@@ -368,6 +368,29 @@ TEST_F(CheckpointTest, UnregisteredTypeInImageIsCorruption) {
   EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
 }
 
+TEST_F(CheckpointTest, DuplicateObjectIdInImageIsCorruption) {
+  World w;
+  (void)w.cluster->node(0).create<Box>(w.type);
+  util::ByteWriter image_writer;
+  ASSERT_TRUE(w.cluster->node(0).checkpoint_to(image_writer).is_ok());
+  const std::vector<std::byte> image = image_writer.take();
+  // [next_seq:u64][object count:u64][record]: name the one record twice.
+  const auto bytes = std::span<const std::byte>(image);
+  const auto record = bytes.subspan(2 * sizeof(std::uint64_t));
+  util::ByteWriter forged;
+  forged.write_bytes(bytes.first(sizeof(std::uint64_t)));
+  forged.write<std::uint64_t>(2);
+  forged.write_bytes(record);
+  forged.write_bytes(record);
+  const std::vector<std::byte> twice = forged.take();
+
+  World w2;
+  util::ByteReader in(twice);
+  EXPECT_EQ(w2.cluster->node(0).restore_from(in).code(),
+            util::StatusCode::kCorruption);
+  EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
+}
+
 TEST_F(CheckpointTest, EveryTruncatedImageIsRejectedByRestoreFrom) {
   // The file CRC stops a truncated checkpoint file before restore_from sees
   // it; this drives restore_from's own bounds checks directly with every

@@ -1,20 +1,27 @@
 // Spill pipeline, runtime layer: clean-spill elision (an eviction of an
 // object whose dirty generation matches its on-disk blob skips
-// serialize+store entirely) and the bounded write-behind budget for
-// soft-pressure evictions. Also the two accounting bugfixes that ride
-// along: queued_messages_ stays exact across poison drops, and a failed
-// write-behind store can never leave an Entry claiming a blob identity for
-// bytes that never landed.
+// serialize+store entirely), the bounded write-behind budget for
+// soft-pressure evictions, and write-behind reclaim (an object wanted back
+// while its spill store still waits in the I/O queue is reinstalled from
+// the queued bytes, with no device round trip). Also the accounting
+// bugfixes that ride along: queued_messages_ stays exact across poison
+// drops, a failed write-behind store can never leave an Entry claiming a
+// blob identity for bytes that never landed, and destroying a spilling
+// object leaves no blob behind.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <thread>
 
 #include "core/runtime.hpp"
+#include "obs/metrics.hpp"
+#include "pumg/ooc.hpp"
 #include "simnet/fabric.hpp"
 #include "storage/mem_store.hpp"
 
@@ -69,7 +76,8 @@ class FlakyStore final : public storage::StorageBackend {
 };
 
 // Stores park on a gate until the test opens it; loads pass through. Lets a
-// test hold a write-behind spill in flight for as long as it likes.
+// test hold a write-behind spill in flight for as long as it likes. Every
+// store that reaches the backend and every load is logged by key.
 class GatedStore final : public storage::StorageBackend {
  public:
   explicit GatedStore(std::unique_ptr<storage::StorageBackend> inner)
@@ -86,14 +94,28 @@ class GatedStore final : public storage::StorageBackend {
     }
     cv_.notify_all();
   }
+  /// Stores waiting at the closed gate right now.
+  int parked() const {
+    std::lock_guard lock(mu_);
+    return parked_;
+  }
+  std::size_t stores_of(MobilePtr p) const { return logged(stored_, p); }
+  std::size_t loads_of(MobilePtr p) const { return logged(loaded_, p); }
 
   util::Status store(storage::ObjectKey key,
                      std::span<const std::byte> bytes) override {
     std::unique_lock lock(mu_);
+    ++parked_;
     cv_.wait(lock, [&] { return open_; });
+    --parked_;
+    stored_.push_back(key);
     return inner_->store(key, bytes);
   }
   util::Result<std::vector<std::byte>> load(storage::ObjectKey key) override {
+    {
+      std::lock_guard lock(mu_);
+      loaded_.push_back(key);
+    }
     return inner_->load(key);
   }
   util::Status erase(storage::ObjectKey key) override {
@@ -109,9 +131,18 @@ class GatedStore final : public storage::StorageBackend {
   storage::BackendStats stats() const override { return inner_->stats(); }
 
  private:
-  std::mutex mu_;
+  std::size_t logged(const std::vector<storage::ObjectKey>& log,
+                     MobilePtr p) const {
+    std::lock_guard lock(mu_);
+    return static_cast<std::size_t>(std::count(log.begin(), log.end(), p.id));
+  }
+
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   bool open_ = true;
+  int parked_ = 0;
+  std::vector<storage::ObjectKey> stored_;
+  std::vector<storage::ObjectKey> loaded_;
   std::unique_ptr<storage::StorageBackend> inner_;
 };
 
@@ -504,6 +535,261 @@ TEST(SpillPipeline, WriteBehindBudgetBoundsInFlightSpills) {
   EXPECT_EQ(rt.write_behind_inflight_bytes(), 0u);
   EXPECT_GE(rt.counters().objects_spilled.load(), 2u)
       << "draining the in-flight store should unblock the next eviction";
+}
+
+// ---------------------------------------------------------------------------
+// Write-behind reclaim
+
+// Threaded runtime over a GatedStore with two ~8 KB boxes, A and B. With
+// the gate closed, hold_a_queue_b() spills both: A's store is popped by the
+// I/O thread and held executing at the gate, B's waits in the I/O queue
+// behind it.
+struct GatedHarness {
+  static constexpr std::uint64_t kUnseen = ~std::uint64_t{0};
+  static constexpr std::size_t kRoomy = 1u << 20;
+  static constexpr std::size_t kTight = 4096;  // smaller than one box
+
+  net::Fabric fabric{1};
+  ObjectTypeRegistry registry;
+  GatedStore* gate = nullptr;  // owned by the runtime
+  std::unique_ptr<Runtime> rt;
+  TypeId type = 0;
+  HandlerId h_see = 0;  // read-only: records the state it sees
+  std::uint64_t seen_value = kUnseen;
+  std::vector<std::uint64_t> seen_data;
+  MobilePtr a, b;
+
+  GatedHarness() {
+    RuntimeOptions options;
+    options.ooc.memory_budget_bytes = kRoomy;
+    options.storage_retry.max_retries = 0;
+    auto backend =
+        std::make_unique<GatedStore>(std::make_unique<storage::MemStore>());
+    gate = backend.get();
+    rt = std::make_unique<Runtime>(0, fabric.endpoint(0), registry,
+                                   std::move(backend), options);
+    type = registry.register_type<Box>("box");
+    // Handlers run on the thread driving progress_once: this one.
+    h_see = registry.register_handler(
+        type,
+        [this](Runtime&, MobileObject& obj, MobilePtr, NodeId,
+               util::ByteReader&) {
+          seen_value = static_cast<Box&>(obj).value;
+          seen_data = static_cast<Box&>(obj).data;
+        },
+        /*read_only=*/true);
+    a = make_box(1);
+    b = make_box(2);
+    // A is always the first victim, so its store is the one that executes.
+    rt->set_priority(a, kDefaultPriority - 1);
+  }
+  // The runtime's destructor drains the store: never leave the gate shut.
+  ~GatedHarness() { gate->open_gate(); }
+
+  MobilePtr make_box(std::uint64_t fill) {
+    auto [ptr, box] = rt->create<Box>(type);
+    box->data.assign(1000, fill);
+    rt->refresh_footprint(ptr);
+    return ptr;
+  }
+
+  void set_value(MobilePtr p, std::uint64_t value) {
+    static_cast<Box&>(*rt->peek(p)).value = value;
+    rt->refresh_footprint(p);  // marks it dirty
+  }
+
+  /// Spills every idle in-core box (A before B), then restores the roomy
+  /// budget so whatever is reinstalled or reloaded afterwards stays in.
+  void evict_all() {
+    rt->set_memory_budget(kTight);
+    rt->set_memory_budget(kRoomy);
+  }
+
+  template <typename Pred>
+  bool pump_until(Pred done, int max_iters = 40000) {
+    for (int i = 0; i < max_iters && !done(); ++i) {
+      if (!rt->progress_once()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    return done();
+  }
+
+  /// Opens the gate and runs until every store has landed and been drained.
+  void settle() {
+    gate->open_gate();
+    rt->flush_stores();
+    int quiet = 0;
+    pump_until([&] {
+      quiet = rt->is_idle() ? quiet + 1 : 0;
+      return quiet >= 3;
+    });
+  }
+
+  void hold_a_queue_b() {
+    gate->close_gate();
+    evict_all();
+    ASSERT_FALSE(rt->is_in_core(a));
+    ASSERT_FALSE(rt->is_in_core(b));
+    for (int i = 0; i < 20000 && gate->parked() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ASSERT_EQ(gate->parked(), 1) << "A's store never reached the gate";
+  }
+
+  /// Gives A and B a landed blob each (value 0), reloads them (spill
+  /// elision keeps those blobs on the backend) and dirties them, so their
+  /// next spills supersede an older blob.
+  void land_reload_and_dirty(std::uint64_t a_value, std::uint64_t b_value) {
+    evict_all();
+    settle();
+    rt->lock_in_core(a);
+    rt->lock_in_core(b);
+    ASSERT_TRUE(pump_until([&] { return rt->is_in_core(a) && rt->is_in_core(b); }));
+    rt->unlock(a);
+    rt->unlock(b);
+    set_value(a, a_value);
+    set_value(b, b_value);
+  }
+
+  /// Sends the read-only probe to `p` and runs until its handler ran.
+  bool see(MobilePtr p) {
+    seen_value = kUnseen;
+    rt->send(p, h_see, std::vector<std::byte>{});
+    return pump_until([&] { return seen_value != kUnseen; });
+  }
+
+  static std::uint64_t reclaims() {
+    return obs::MetricsRegistry::global().counter("ooc.reclaims").value();
+  }
+};
+
+TEST(SpillPipeline, MessageToAQueuedSpillIsServedByReclaim) {
+  GatedHarness h;
+  h.set_value(h.b, 42);
+  const std::uint64_t reclaims = GatedHarness::reclaims();
+  h.hold_a_queue_b();
+
+  ASSERT_TRUE(h.see(h.b));
+  EXPECT_EQ(h.seen_value, 42u);
+  EXPECT_EQ(h.seen_data, std::vector<std::uint64_t>(1000, 2));
+  EXPECT_EQ(GatedHarness::reclaims() - reclaims, 1u);
+  EXPECT_TRUE(h.rt->is_in_core(h.b));
+  EXPECT_FALSE(h.rt->is_in_core(h.a)) << "A's store is still at the gate";
+  EXPECT_EQ(h.gate->loads_of(h.b), 0u)
+      << "the reclaim read the blob back from the device";
+
+  h.settle();
+  EXPECT_EQ(h.gate->stores_of(h.b), 0u) << "the reclaimed store ran anyway";
+  EXPECT_EQ(h.gate->stores_of(h.a), 1u);
+  EXPECT_EQ(h.rt->spill_backend().count(), 1u);
+  // The OOC layer's blob sizes describe the backend: only A's blob is there.
+  EXPECT_EQ(h.rt->largest_spilled_bytes(), h.rt->spill_backend().stored_bytes());
+  EXPECT_EQ(h.rt->write_behind_inflight_bytes(), 0u);
+}
+
+TEST(SpillPipeline, MessageToAnExecutingSpillWaitsForItsStore) {
+  GatedHarness h;
+  h.set_value(h.a, 7);
+  const std::uint64_t reclaims = GatedHarness::reclaims();
+  h.hold_a_queue_b();
+
+  h.rt->send(h.a, h.h_see, std::vector<std::byte>{});
+  for (int i = 0; i < 200; ++i) {
+    h.rt->progress_once();
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  EXPECT_FALSE(h.rt->is_in_core(h.a));
+  EXPECT_EQ(h.seen_value, GatedHarness::kUnseen);
+
+  h.gate->open_gate();
+  ASSERT_TRUE(h.pump_until([&] { return h.seen_value != GatedHarness::kUnseen; }));
+  EXPECT_EQ(h.seen_value, 7u);
+  EXPECT_EQ(h.seen_data, std::vector<std::uint64_t>(1000, 1));
+  EXPECT_EQ(GatedHarness::reclaims() - reclaims, 0u);
+  EXPECT_EQ(h.gate->stores_of(h.a), 1u);
+  EXPECT_EQ(h.gate->loads_of(h.a), 1u);
+}
+
+TEST(SpillPipeline, ReclaimedObjectStoresFreshBytesAndElidesOnlyWhatLanded) {
+  GatedHarness h;
+  h.land_reload_and_dirty(10, 20);
+  h.hold_a_queue_b();
+  ASSERT_TRUE(h.see(h.b));
+  ASSERT_EQ(h.seen_value, 20u);
+  h.settle();
+  ASSERT_TRUE(h.rt->is_in_core(h.b));
+  ASSERT_EQ(h.gate->stores_of(h.b), 1u);  // the first blob only
+
+  // B is unmodified since the reclaim, but the blob on the backend is the
+  // older one (value 0): this eviction must store, not elide.
+  const std::uint64_t spilled = h.rt->counters().objects_spilled.load();
+  const std::uint64_t elided = h.rt->counters().spills_elided.load();
+  h.evict_all();
+  h.settle();
+  EXPECT_EQ(h.rt->counters().objects_spilled.load(), spilled + 1);
+  EXPECT_EQ(h.rt->counters().spills_elided.load(), elided)
+      << "an eviction elided against a blob older than the object";
+  EXPECT_EQ(h.gate->stores_of(h.b), 2u);
+
+  // The fresh blob reloads byte-equal...
+  ASSERT_TRUE(h.see(h.b));
+  EXPECT_EQ(h.seen_value, 20u);
+  EXPECT_EQ(h.seen_data, std::vector<std::uint64_t>(1000, 2));
+  // ...and, now that it has landed, the next clean eviction elides against
+  // it and the reload after that still serves it.
+  h.evict_all();
+  h.settle();
+  EXPECT_EQ(h.rt->counters().spills_elided.load(), elided + 1);
+  EXPECT_EQ(h.gate->stores_of(h.b), 2u);
+  ASSERT_TRUE(h.see(h.b));
+  EXPECT_EQ(h.seen_value, 20u);
+  EXPECT_EQ(h.seen_data, std::vector<std::uint64_t>(1000, 2));
+  EXPECT_EQ(h.rt->largest_spilled_bytes(), h.rt->spill_backend().stored_bytes() / 2);
+}
+
+TEST(SpillPipeline, DestroyingASpillingObjectLeavesNoBlobBehind) {
+  GatedHarness h;
+  h.land_reload_and_dirty(10, 20);  // both have an older blob on the backend
+  h.hold_a_queue_b();
+  h.rt->destroy(h.b);  // queued store: taken back and dropped
+  h.rt->destroy(h.a);  // executing store: lands after destroy's erase
+  h.settle();
+  EXPECT_EQ(h.gate->stores_of(h.b), 1u)
+      << "B's queued store ran after its object was destroyed";
+  EXPECT_EQ(h.rt->spill_backend().count(), 0u);
+  EXPECT_EQ(h.rt->spill_backend().stored_bytes(), 0u);
+  EXPECT_EQ(h.rt->largest_spilled_bytes(), 0u);
+  EXPECT_EQ(h.rt->write_behind_inflight_bytes(), 0u);
+  EXPECT_EQ(h.rt->local_objects(), 0u);
+}
+
+TEST(SpillPipeline, OpcdmUnderTheDeviceModelConformsOnTheThreadedDriver) {
+  // The Table VI device model makes spill stores queue behind one another,
+  // which is when reclaims happen; the mesh must not notice.
+  const pumg::MeshProblem problem{
+      mesh::make_unit_square(),
+      {.min_angle_deg = 20.0, .size_field = mesh::uniform_size(0.02)}};
+  ClusterOptions cluster;
+  cluster.nodes = 2;
+  cluster.runtime.ooc.memory_budget_bytes = 128u << 10;
+  cluster.spill = SpillMedium::kMemory;
+  cluster.disk_model = storage::DeviceModel{
+      .access_latency = std::chrono::microseconds(5000),
+      .bandwidth_bytes_per_sec = 50e6};
+  cluster.max_run_time = std::chrono::seconds(120);
+  std::vector<pumg::Subdomain> subs;
+  pumg::Decomposition decomp;
+  const auto ooc = pumg::run_opcdm_ooc(
+      problem, pumg::OpcdmOocConfig{.cluster = cluster, .strips = 16}, &subs,
+      &decomp);
+  ASSERT_FALSE(ooc.report.timed_out);
+  EXPECT_GT(ooc.objects_spilled, 0u);
+  EXPECT_EQ(ooc.objects_poisoned, 0u);
+  EXPECT_TRUE(pumg::check_conformity(decomp, subs).empty())
+      << pumg::check_conformity(decomp, subs);
+  EXPECT_NEAR(ooc.mesh.total_area, 1.0, 1e-9);
+  std::printf("%s\n", ooc.summary().c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -253,5 +253,28 @@ TEST(Pslg, SerializationRoundTrip) {
   EXPECT_EQ(back.holes.size(), g.holes.size());
 }
 
+// A forged count must be an ArchiveError before anything is reserved, not a
+// length_error or an allocation the payload could never fill.
+TEST(Pslg, ForgedPointCountThrowsArchiveError) {
+  util::ByteWriter w;
+  w.write<std::uint64_t>(std::uint64_t{1} << 60);  // points
+  w.write(1.0);
+  w.write(2.0);
+  const auto bytes = w.take();
+  util::ByteReader r(bytes);
+  EXPECT_THROW((void)Pslg::deserialized(r), util::ArchiveError);
+}
+
+TEST(Pslg, ForgedSegmentCountThrowsArchiveError) {
+  util::ByteWriter w;
+  w.write<std::uint64_t>(0);                      // points
+  w.write<std::uint64_t>(~std::uint64_t{0});      // segments
+  w.write<std::uint32_t>(0);
+  w.write<std::uint32_t>(1);
+  const auto bytes = w.take();
+  util::ByteReader r(bytes);
+  EXPECT_THROW((void)Pslg::deserialized(r), util::ArchiveError);
+}
+
 }  // namespace
 }  // namespace mrts::mesh

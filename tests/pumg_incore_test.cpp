@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "pumg/method.hpp"
 #include "pumg/nupdr.hpp"
 #include "pumg/pcdm.hpp"
@@ -30,6 +32,56 @@ MeshProblem graded_pipe_problem() {
       mesh::make_pipe_section(1.0, 0.45, 48),
       {.min_angle_deg = 20.0,
        .size_field = mesh::graded_size({0.0, 1.0}, 0.015, 0.15, 0.2, 1.2)}};
+}
+
+// Forged counts in the out-of-core drivers' decoders must be an
+// ArchiveError before anything is reserved, not a length_error or an
+// allocation the payload could never fill.
+TEST(SplitList, ForgedCountThrowsArchiveError) {
+  util::ByteWriter w;
+  w.write<std::uint32_t>(0xFFFFFFFFu);
+  BoundarySplit{}.serialize(w);
+  const auto bytes = w.take();
+  util::ByteReader r(bytes);
+  EXPECT_THROW((void)read_splits(r), util::ArchiveError);
+}
+
+TEST(SplitList, RoundTripsAndRejectsAForgedListCount) {
+  // The per-cell pending lists of the OUPDR coordinator and the ONUPDR
+  // refinement queue: [lists:u64] lists x split list.
+  const std::vector<std::vector<BoundarySplit>> lists = {
+      {}, {BoundarySplit{.a = {0, 0}, .b = {1, 0}, .m = {0.5, 0}, .side = 2}}};
+  util::ByteWriter w;
+  w.write<std::uint64_t>(lists.size());
+  for (const auto& v : lists) write_splits(w, v);
+  auto bytes = w.take();
+  util::ByteReader r(bytes);
+  const auto back =
+      r.read_vector_with<std::vector<BoundarySplit>>(read_splits);
+  ASSERT_EQ(back.size(), 2u);
+  ASSERT_EQ(back[1].size(), 1u);
+  EXPECT_EQ(back[1][0].m.x, 0.5);
+  EXPECT_EQ(back[1][0].side, 2);
+
+  const std::uint64_t forged = std::uint64_t{1} << 62;
+  std::memcpy(bytes.data(), &forged, sizeof(forged));
+  util::ByteReader bad(bytes);
+  EXPECT_THROW(
+      (void)bad.read_vector_with<std::vector<BoundarySplit>>(read_splits),
+      util::ArchiveError);
+}
+
+TEST(Subdomain, ForgedBorderVertexCountThrowsArchiveError) {
+  util::ByteWriter w;
+  w.write(Rect{});
+  mesh::Triangulation(Rect{}).serialize(w);
+  w.write_vector(std::vector<std::int32_t>{});  // segment sides
+  w.write<std::uint64_t>(std::uint64_t{1} << 60);  // border vertices
+  w.write<std::uint64_t>(0);
+  const auto bytes = w.take();
+  util::ByteReader r(bytes);
+  Subdomain sub;
+  EXPECT_THROW(sub.deserialize(r), util::ArchiveError);
 }
 
 TEST(ClipSnapped, CrossingPointsAreBitwiseSharedBetweenCells) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <future>
 #include <set>
@@ -322,6 +323,50 @@ TEST(ObjectStore, ManyConcurrentRequestsComplete) {
   }
   store.drain();
   EXPECT_EQ(completed.load(), kN);
+}
+
+TEST(ObjectStore, ReclaimTakesBackExactlyTheStoresThatHadNotStarted) {
+  // Reclaims race the I/O thread for the queue: every store must end up
+  // either taken back (payload returned, callback never run, nothing on the
+  // backend) or executed (callback run once, blob on the backend).
+  ObjectStore store(std::make_unique<DeviceStore>(
+      std::make_unique<MemStore>(),
+      DeviceModel{.access_latency = std::chrono::microseconds(200)}));
+  constexpr ObjectKey kN = 64;
+  std::vector<std::atomic<int>> completions(kN);
+  for (ObjectKey k = 0; k < kN; ++k) {
+    store.store_async(k, random_blob(100 + k, k),
+                      [&completions, k](util::Status s, std::vector<std::byte>) {
+                        EXPECT_TRUE(s.is_ok());
+                        completions[k].fetch_add(1);
+                      });
+  }
+  std::vector<bool> reclaimed(kN, false);
+  for (ObjectKey k = kN; k-- > 0;) {  // newest first: most are still queued
+    if (auto bytes = store.reclaim_store(k)) {
+      EXPECT_EQ(*bytes, random_blob(100 + k, k));
+      reclaimed[k] = true;
+    }
+  }
+  store.drain();
+  EXPECT_EQ(store.in_flight_store_bytes(), 0u);
+  EXPECT_EQ(store.pending(), 0u);
+  std::size_t taken = 0;
+  for (ObjectKey k = 0; k < kN; ++k) {
+    EXPECT_EQ(completions[k].load(), reclaimed[k] ? 0 : 1) << "key " << k;
+    EXPECT_EQ(store.backend().contains(k), !reclaimed[k]) << "key " << k;
+    taken += reclaimed[k] ? 1 : 0;
+  }
+  EXPECT_GT(taken, 0u);
+  EXPECT_FALSE(store.reclaim_store(0).has_value()) << "nothing left queued";
+}
+
+TEST(ObjectStore, SynchronousStoresAreNeverReclaimable) {
+  ObjectStore store(std::make_unique<MemStore>(), nullptr,
+                    ObjectStoreOptions{.synchronous = true});
+  store.store_async(3, random_blob(16, 3), {});
+  EXPECT_FALSE(store.reclaim_store(3).has_value());
+  EXPECT_TRUE(store.backend().contains(3));
 }
 
 }  // namespace
