@@ -177,7 +177,10 @@ class BenchReport {
     const char* end = cell.data() + cell.size();
     const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
     if (ec == std::errc() && ptr == end && !cell.empty()) return cell;
-    return "\"" + obs::json_escape(cell) + "\"";
+    std::string quoted = "\"";
+    quoted += obs::json_escape(cell);
+    quoted += '"';
+    return quoted;
   }
 
   std::string name_;

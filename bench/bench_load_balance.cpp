@@ -78,18 +78,19 @@ Outcome run_imbalanced(bool balanced, int objects, int rounds) {
   return out;
 }
 
-// --- node-join-mid-run (elastic membership + work stealing) ---------------
+// --- node-join-mid-run (elastic membership + cluster balancer) ------------
 // The same pathological imbalance under the deterministic driver, but the
-// fourth node is absent at t=0 and joins at sweep `join_step`; the
-// MembershipManager's work-stealing monitor is the only spreading mechanism
-// (the classic balancer stays off). Makespan is det_steps — wall-clock-free
-// and reproducible in CI — and a small per-sweep message budget keeps the
-// queue standing long enough for the steal monitor to act.
+// fourth node is absent at t=0 and joins at sweep `join_step`. The cluster
+// balancer is the only spreading mechanism: it sheds queued objects from
+// the busiest node to the idlest accepting one, which after the join is
+// often the joiner. Makespan is det_steps — wall-clock-free and reproducible in CI — and a
+// small per-sweep message budget keeps the queue standing long enough for
+// the balancer to act.
 
 struct JoinOutcome {
   std::uint64_t det_steps;
-  std::uint64_t steals_committed;
-  std::uint64_t steals_aborted;
+  std::uint64_t migrations;         // all nodes' migrations_in
+  std::uint64_t joiner_migrations;  // objects migrated into node 3
   std::size_t joiner_objects;
   std::uint64_t total_done;
 };
@@ -101,10 +102,9 @@ JoinOutcome run_join(bool join, std::uint64_t join_step, int objects,
   options.spill = SpillMedium::kMemory;
   options.deterministic = true;
   options.runtime.max_messages_per_turn = 4;
+  options.balance.enabled = true;
+  options.balance.slack_messages = 4;
   MembershipOptions mo;
-  mo.work_stealing = true;
-  mo.steal_check_interval = 2;
-  mo.steal_min_queue = 4;
   // Node 3 is "not there yet": killed (empty) before any work exists. The
   // join is its rejoin; the static run never brings it back.
   mo.events = {{.step = 1,
@@ -135,8 +135,9 @@ JoinOutcome run_join(bool join, std::uint64_t join_step, int objects,
   const auto report = cluster.run();
   JoinOutcome out;
   out.det_steps = report.det_steps;
-  out.steals_committed = mgr.stats().steals_committed;
-  out.steals_aborted = mgr.stats().steals_aborted;
+  out.migrations = cluster.sum_counters(
+      [](const NodeCounters& c) { return c.migrations_in.load(); });
+  out.joiner_migrations = cluster.node(3).counters().migrations_in.load();
   out.joiner_objects = cluster.node(3).local_objects();
   out.total_done = 0;
   for (MobilePtr p : ptrs) {
@@ -155,9 +156,8 @@ int main() {
   BenchReport report(
       "load_balance",
       "Load-balancing ablation — all work created on node 0 of 4 nodes "
-      "(1 ms handlers; note: this host has 1 physical core, so wall-clock "
-      "parity rather than speedup is expected — the sleep-based handlers "
-      "still let shed work proceed concurrently)",
+      "(1 ms sleep-based handlers, so shed work proceeds concurrently "
+      "whatever the core count)",
       "the control layer sheds queued mobile objects to idle nodes; "
       "without balancing one node processes everything");
 
@@ -170,19 +170,19 @@ int main() {
   }
   report.add("balancing", std::move(t));
 
-  // Elastic membership: a node joins mid-run and steals its share. The
-  // static row never brings node 3 up; the join rows rejoin it at
-  // escalating sweep numbers. Joining earlier must commit more steals and
-  // shorten the makespan toward the static floor.
+  // Elastic membership: a node joins mid-run and the balancer sheds work
+  // onto it. The static row never brings node 3 up; the join rows rejoin it
+  // at escalating sweep numbers. Joining earlier must shorten the makespan
+  // more.
   constexpr int kObjects = 24;
   constexpr int kRounds = 32;
   const std::uint64_t join_step = 8;
   Table j({"scenario", "objects", "rounds", "makespan (det steps)",
-           "post-join steps", "steals committed", "steals aborted",
+           "post-join steps", "migrations", "into joiner",
            "joiner objects", "done"});
   const JoinOutcome stat = run_join(false, 0, kObjects, kRounds);
   j.row("static (3 nodes)", kObjects, kRounds, stat.det_steps, 0,
-        stat.steals_committed, stat.steals_aborted, stat.joiner_objects,
+        stat.migrations, stat.joiner_migrations, stat.joiner_objects,
         stat.total_done);
   JoinOutcome at_t{};
   for (std::uint64_t js : {join_step, join_step * 4}) {
@@ -190,13 +190,13 @@ int main() {
     if (js == join_step) at_t = r;
     j.row("join at sweep " + std::to_string(js), kObjects, kRounds,
           r.det_steps, r.det_steps > js ? r.det_steps - js : 0,
-          r.steals_committed, r.steals_aborted, r.joiner_objects,
+          r.migrations, r.joiner_migrations, r.joiner_objects,
           r.total_done);
   }
   report.add("node_join_mid_run", std::move(j));
   report.set_meta("join_step", std::to_string(join_step));
-  report.set_meta("join_steals_committed",
-                  std::to_string(at_t.steals_committed));
+  report.set_meta("join_migrations_into_joiner",
+                  std::to_string(at_t.joiner_migrations));
   report.set_meta("join_makespan_steps", std::to_string(at_t.det_steps));
   report.set_meta("static_makespan_steps", std::to_string(stat.det_steps));
   report.set_meta("join_work_executed", std::to_string(at_t.total_done));

@@ -255,11 +255,6 @@ void check_membership(core::Cluster& cluster,
     out.add("membership: scheduled transition events did not all fire "
             "(run quiesced early?)");
   }
-  if (manager.pending_steals() != 0) {
-    out.add(util::format(
-        "membership: {} steal claim(s) still unresolved at quiescence",
-        manager.pending_steals()));
-  }
   if (manager.stats().objects_lost != 0) {
     out.add(util::format(
         "membership: {} object(s) lost across kill/rebuild — crash export "
@@ -269,11 +264,6 @@ void check_membership(core::Cluster& cluster,
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     const auto node = static_cast<net::NodeId>(i);
     auto& rt = cluster.node(node);
-    if (rt.stolen_entries() != 0) {
-      out.add(util::format(
-          "node {} has {} entr(ies) still frozen by a steal claim", i,
-          rt.stolen_entries()));
-    }
     const core::MembershipState state = manager.state(node);
     if (state == core::MembershipState::kDraining) {
       out.add(util::format("node {} is still Draining at quiescence", i));

@@ -99,8 +99,7 @@ void check_queue_accounting(core::Cluster& cluster, InvariantReport& out);
 void check_exactly_once(core::Cluster& cluster, InvariantReport& out);
 
 /// Elastic membership: at quiescence every scheduled transition fired, no
-/// speculation window is still open (no pending claims, no frozen entries),
-/// no node is stuck Draining, drained/down nodes host nothing, and — the
+/// node is stuck Draining, drained/down nodes host nothing, and — the
 /// no-silent-loss headline — the manager recorded zero lost objects.
 void check_membership(core::Cluster& cluster,
                       const core::MembershipManager& manager,

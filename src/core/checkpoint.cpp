@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <fstream>
+#include <unordered_set>
 
 #include "storage/sealed_blob.hpp"
 #include "util/format.hpp"
@@ -111,24 +112,34 @@ util::Status restore_cluster(Cluster& cluster,
               "checkpoint type count does not match the registry"};
     }
   }
-  // Two-phase: read and unseal every node image before installing a
-  // single object, so a truncated or corrupt file leaves the whole cluster
-  // unchanged (no partial restore). Runtime::restore_from validates its
-  // image again before installing, covering corruption the file seal missed.
-  std::vector<std::vector<std::byte>> images;
+  // Two-phase: read, unseal and parse every node image before installing a
+  // single object, so a damaged file or image anywhere leaves the whole
+  // cluster unchanged (no partial restore). An object id that appears in
+  // two node images would be installed twice, so that is corruption too.
+  std::vector<Runtime::RestoreImage> images;
   images.reserve(cluster.size());
+  std::unordered_set<MobilePtr> ids;
   for (std::size_t n = 0; n < cluster.size(); ++n) {
     auto bytes = read_sealed_file(node_file(dir, static_cast<NodeId>(n)));
     if (!bytes.is_ok()) return bytes.status();
-    images.push_back(std::move(bytes).value());
+    util::ByteReader r(bytes.value());
+    auto image = cluster.node(static_cast<NodeId>(n)).parse_restore_image(r);
+    if (!image.is_ok()) return image.status();
+    for (MobilePtr ptr : image.value().ids()) {
+      if (!ids.insert(ptr).second) {
+        return {util::StatusCode::kCorruption,
+                util::format("checkpoint names {} in two node images",
+                             to_string(ptr))};
+      }
+    }
+    images.push_back(std::move(image).value());
   }
-  std::vector<std::pair<MobilePtr, NodeId>> locations;
   for (std::size_t n = 0; n < cluster.size(); ++n) {
-    Runtime& rt = cluster.node(static_cast<NodeId>(n));
-    util::ByteReader r(images[n]);
-    if (auto s = rt.restore_from(r); !s.is_ok()) return s;
+    cluster.node(static_cast<NodeId>(n))
+        .install_restore_image(std::move(images[n]));
   }
   // Teach every home node where its migrated objects live now.
+  std::vector<std::pair<MobilePtr, NodeId>> locations;
   for (std::size_t n = 0; n < cluster.size(); ++n) {
     Runtime& rt = cluster.node(static_cast<NodeId>(n));
     rt.for_each_local_object([&](MobilePtr ptr) {

@@ -19,6 +19,10 @@ namespace {
 /// multiple of the idlest node's, plus LoadBalanceOptions::slack_messages.
 constexpr double kImbalanceFactor = 2.0;
 
+/// Deterministic driver: sweeps between two balance checks (the threaded
+/// monitor uses LoadBalanceOptions::interval instead).
+constexpr std::uint64_t kBalanceEverySweeps = 2;
+
 std::unique_ptr<storage::StorageBackend> make_spill_backend(
     const ClusterOptions& options, NodeId node,
     storage::RemoteMemoryPool* remote_pool) {
@@ -140,9 +144,11 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
                           options_.fabric_observer);
   }
   if (options_.spill == SpillMedium::kRemoteMemory) {
+    // Per-node capacity of the remote-memory pool (0 = unlimited).
+    constexpr std::uint64_t kRemoteMemoryCapacityBytes = 0;
     remote_pool_ = std::make_unique<storage::RemoteMemoryPool>(
         options_.nodes, options_.remote_memory_model,
-        options_.remote_memory_capacity_bytes);
+        kRemoteMemoryCapacityBytes);
   }
   runtimes_.reserve(options_.nodes);
   for (std::size_t i = 0; i < options_.nodes; ++i) {
@@ -184,8 +190,8 @@ bool Cluster::all_idle() const {
 
 void Cluster::maybe_advise_balance() {
   std::size_t hi = 0, lo = 0;
-  std::uint64_t hi_load = 0,
-                lo_load = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t hi_load = 0, lo_load = 0;
+  std::size_t lo_hosted = 0;
   bool found_lo = false;
   for (std::size_t i = 0; i < runtimes_.size(); ++i) {
     const auto id = static_cast<NodeId>(i);
@@ -198,9 +204,15 @@ void Cluster::maybe_advise_balance() {
       hi_load = load;
       hi = i;
     }
-    if ((membership_ == nullptr || membership_->node_accepting(id)) &&
-        load < lo_load) {
+    if (membership_ != nullptr && !membership_->node_accepting(id)) continue;
+    // Queue ties break toward the node hosting the fewest objects, so a
+    // freshly rejoined (empty) member wins over idle survivors instead of
+    // losing on node index.
+    const std::size_t hosted = runtimes_[i]->local_objects();
+    if (!found_lo || load < lo_load ||
+        (load == lo_load && hosted < lo_hosted)) {
       lo_load = load;
+      lo_hosted = hosted;
       lo = i;
       found_lo = true;
     }
@@ -319,7 +331,9 @@ RunReport Cluster::run_deterministic() {
     if (options_.step_observer != nullptr) {
       options_.step_observer->on_step(step);
     }
-    if (options_.balance.enabled && step % 64 == 0) maybe_advise_balance();
+    if (options_.balance.enabled && step % kBalanceEverySweeps == 0) {
+      maybe_advise_balance();
+    }
     // Quiet sweep: nobody worked, nobody holds work, and the fabric has
     // nothing in flight or parked. Two in a row mean global quiescence
     // (a paused node with pending work keeps its idle flag false, so a

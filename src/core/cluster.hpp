@@ -68,8 +68,6 @@ struct ClusterOptions {
   storage::DeviceModel disk_model;
   /// Network put/get cost for SpillMedium::kRemoteMemory.
   storage::DeviceModel remote_memory_model;
-  /// Per-node capacity of the remote-memory pool (0 = unlimited).
-  std::uint64_t remote_memory_capacity_bytes = 0;
   /// Tag used in spill directory names.
   std::string spill_tag = "mrts";
   /// Engine options for SpillMedium::kSegmentLog. `dir` left empty gets a

@@ -45,10 +45,7 @@ struct NodeCounters {
   std::atomic<std::uint64_t> objects_poisoned{0};      // ladder exhausted
   std::atomic<std::uint64_t> poisoned_messages_dropped{0};
 
-  // Elastic membership: speculative work stealing and crash rebuild.
-  std::atomic<std::uint64_t> steals_claimed{0};    // claim frames taken
-  std::atomic<std::uint64_t> steals_committed{0};  // shipped to the thief
-  std::atomic<std::uint64_t> steals_aborted{0};    // rolled back on conflict
+  // Elastic membership: refused placements and crash rebuild.
   std::atomic<std::uint64_t> migrations_refused{0};  // non-accepting target
   std::atomic<std::uint64_t> objects_rebuilt{0};   // crash frames installed
 

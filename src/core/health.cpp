@@ -157,15 +157,24 @@ void HealthMonitor::sample(std::uint64_t step) {
   const std::uint64_t rtt_ref = median_nonzero(srtt_med);
   if (stor_ref > 0) last_stor_ref_ = stor_ref;
 
+  // Storage flag: per-op latency EWMA above kLatencyFactor x the cluster
+  // median of the same EWMA. Network flag: at least kRetxPerSample new
+  // retransmits toward the node in one sample window, or a peer's smoothed
+  // RTT toward it above kRttFactor x the cluster median (medians below the
+  // floor are noise and never flag).
+  constexpr std::uint64_t kLatencyFactor = 4;
+  constexpr std::uint64_t kRetxPerSample = 3;
+  constexpr std::uint64_t kRttFactor = 4;
+  constexpr std::uint64_t kMinRttFloorTicks = 8;
   for (NodeId i = 0; i < n; ++i) {
     PerNode& pn = nodes_[i];
     pn.health.retx_toward_last = retx_delta[i];
     pn.health.srtt_max_ticks = srtt_med[i];
     const bool bad_storage =
-        stor_ref > 0 && per_op[i] > options_.latency_factor * stor_ref;
-    const bool bad_rtt = rtt_ref >= options_.min_rtt_floor_ticks &&
-                         srtt_med[i] > options_.rtt_factor * rtt_ref;
-    const bool bad_retx = retx_delta[i] >= options_.retx_per_sample &&
+        stor_ref > 0 && per_op[i] > kLatencyFactor * stor_ref;
+    const bool bad_rtt = rtt_ref >= kMinRttFloorTicks &&
+                         srtt_med[i] > kRttFactor * rtt_ref;
+    const bool bad_retx = retx_delta[i] >= kRetxPerSample &&
                           retx_reporters[i] >= (n > 2 ? 2u : 1u);
     bool bad = bad_storage || bad_rtt || bad_retx;
     // Down/Draining nodes are the fail-stop layer's business, not gray.
@@ -181,6 +190,10 @@ void HealthMonitor::decide(PerNode& node, bool bad, NodeId id,
                            std::uint64_t step) {
   (void)id;
   (void)step;
+  // Streak thresholds of the state machine (see health.hpp).
+  constexpr int kSuspectStreak = 2;
+  constexpr int kProbationStreak = 3;
+  constexpr int kRecoverStreak = 3;
   NodeHealth& h = node.health;
   if (bad) {
     ++h.bad_streak;
@@ -191,7 +204,7 @@ void HealthMonitor::decide(PerNode& node, bool bad, NodeId id,
   }
   switch (h.state) {
     case HealthState::kHealthy:
-      if (h.bad_streak >= options_.suspect_streak) {
+      if (h.bad_streak >= kSuspectStreak) {
         h.state = HealthState::kSuspect;
         h.bad_streak = 0;
         h.clean_streak = 0;
@@ -201,7 +214,7 @@ void HealthMonitor::decide(PerNode& node, bool bad, NodeId id,
       }
       break;
     case HealthState::kSuspect:
-      if (h.clean_streak >= options_.probation_streak) {
+      if (h.clean_streak >= kProbationStreak) {
         h.state = HealthState::kProbation;
         h.bad_streak = 0;
         h.clean_streak = 0;
@@ -216,7 +229,7 @@ void HealthMonitor::decide(PerNode& node, bool bad, NodeId id,
         ++h.suspect_events;
         ++stats_.suspects;
         m_suspects_->inc();
-      } else if (h.clean_streak >= options_.recover_streak) {
+      } else if (h.clean_streak >= kRecoverStreak) {
         h.state = HealthState::kHealthy;
         h.bad_streak = 0;
         h.clean_streak = 0;

@@ -18,13 +18,13 @@
 // Scoring is relative — a node is flagged when its signal exceeds a factor
 // of the cluster median — and drives a per-node state machine:
 //
-//   Healthy -> Suspect     suspect_streak consecutive bad samples
-//   Suspect -> Probation   probation_streak consecutive clean samples
-//   Probation -> Healthy   recover_streak further clean samples
+//   Healthy -> Suspect     2 consecutive bad samples
+//   Suspect -> Probation   3 consecutive clean samples
+//   Probation -> Healthy   3 further clean samples
 //   Probation -> Suspect   any bad sample (relapse)
 //
 // A Suspect node KEEPS SERVING — it polls, answers, acks — it just stops
-// being *chosen*: placement round-robin, work-steal thief choice, migrate
+// being *chosen*: placement round-robin, shed-advice targets, migrate
 // fallback, and MeshingService admission all consult the health view
 // (directly, or through MembershipManager::node_accepting when the overlay
 // is installed). This is deliberately distinct from Draining/Down, which
@@ -59,20 +59,6 @@ enum class HealthState : std::uint8_t { kHealthy = 0, kSuspect, kProbation };
 struct HealthOptions {
   /// Sweeps between samples (signals are differenced per sample).
   std::uint64_t sample_interval = 4;
-  /// Storage flag: per-op latency EWMA above latency_factor x the cluster
-  /// median of the same EWMA.
-  std::uint64_t latency_factor = 4;
-  /// Network flag: at least this many new retransmits toward the node in
-  /// one sample window...
-  std::uint64_t retx_per_sample = 3;
-  /// ...or a peer's smoothed RTT toward it above rtt_factor x the cluster
-  /// median (medians below the floor are noise and never flag).
-  std::uint64_t rtt_factor = 4;
-  std::uint64_t min_rtt_floor_ticks = 8;
-  /// Streak thresholds for the state machine above.
-  int suspect_streak = 2;
-  int probation_streak = 3;
-  int recover_streak = 3;
 };
 
 struct NodeHealth {
@@ -120,7 +106,7 @@ class HealthMonitor final : public StepObserver,
 
   /// Elastic mode: overlays health onto an attached MembershipManager
   /// (which stays the installed view); Suspect then factors into the
-  /// manager's node_accepting, placement round-robin, steal thief choice,
+  /// manager's node_accepting, placement round-robin, shed-advice targets,
   /// and fallback preference. Call after membership.attach(cluster).
   void attach(Cluster& cluster, MembershipManager& membership);
 

@@ -1,7 +1,6 @@
 #include "core/membership.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <tuple>
 
 #include "core/health.hpp"
@@ -26,10 +25,6 @@ MembershipManager::MembershipManager(MembershipOptions options)
       m_kills_(&obs::MetricsRegistry::global().counter("membership.kills")),
       m_rejoins_(
           &obs::MetricsRegistry::global().counter("membership.rejoins")),
-      m_steals_committed_(&obs::MetricsRegistry::global().counter(
-          "membership.steals_committed")),
-      m_steals_aborted_(&obs::MetricsRegistry::global().counter(
-          "membership.steals_aborted")),
       m_objects_rebuilt_(&obs::MetricsRegistry::global().counter(
           "membership.objects_rebuilt")) {
   std::stable_sort(options_.events.begin(), options_.events.end(),
@@ -74,20 +69,14 @@ void MembershipManager::on_step(std::uint64_t step) {
   if (cluster_ == nullptr) return;
   process_events(step);
   advance_drains(step);
-  advance_steals(step);
-  if (options_.work_stealing && options_.steal_check_interval > 0 &&
-      step % options_.steal_check_interval == 0) {
-    try_claim_steal(step);
-  }
 }
 
 bool MembershipManager::quiescent() const {
-  // A pending event, an unresolved speculation window, or an unfinished
-  // drain all veto termination: a scheduled rejoin in particular must fire
-  // even if the workload already looks drained (the killed node's parked
-  // traffic only flows once it is back Up).
+  // A pending event or an unfinished drain vetoes termination: a scheduled
+  // rejoin in particular must fire even if the workload already looks
+  // drained (the killed node's parked traffic only flows once it is back
+  // Up).
   if (next_event_ < options_.events.size()) return false;
-  if (!steals_.empty()) return false;
   for (const NodeInfo& n : nodes_) {
     if (n.state == MembershipState::kDraining) return false;
   }
@@ -162,7 +151,6 @@ void MembershipManager::begin_drain(NodeId node, std::uint64_t step) {
   // Idempotent: a second drain of a Draining or Down node is a no-op (the
   // double-drain test pins this).
   if (info.state != MembershipState::kUp) return;
-  resolve_steals_involving(node);
   info.state = MembershipState::kDraining;
   info.drain_begin_step = step;
   ++stats_.drains;
@@ -174,6 +162,8 @@ void MembershipManager::begin_drain(NodeId node, std::uint64_t step) {
 }
 
 void MembershipManager::advance_drains(std::uint64_t step) {
+  // Hosted objects a draining node migrates out per sweep.
+  constexpr std::size_t kDrainObjectsPerStep = 2;
   for (NodeId id = 0; id < static_cast<NodeId>(nodes_.size()); ++id) {
     NodeInfo& info = nodes_[id];
     if (info.state != MembershipState::kDraining) continue;
@@ -187,7 +177,7 @@ void MembershipManager::advance_drains(std::uint64_t step) {
     const std::vector<MobilePtr> hosted = hosted_objects(id);
     std::size_t issued = 0;
     for (MobilePtr p : hosted) {
-      if (issued >= options_.drain_objects_per_step) break;
+      if (issued >= kDrainObjectsPerStep) break;
       const NodeId target = next_target(id);
       if (target == id) break;  // no accepting survivor yet; retry next sweep
       // Repeated migrate() on a still-pending object just coalesces, so
@@ -206,10 +196,6 @@ void MembershipManager::advance_drains(std::uint64_t step) {
 bool MembershipManager::drain_gate(NodeId node) const {
   Runtime& rt = cluster_->node(node);
   if (!rt.is_idle() || !rt.inbox_empty()) return false;
-  if (rt.stolen_entries() != 0) return false;
-  for (const PendingSteal& s : steals_) {
-    if (s.victim == node || s.thief == node) return false;
-  }
   // Every reliable-link frame the node sent must be acked, and no live peer
   // may still owe it one — going Down with traffic in flight would strand a
   // sequenced frame forever.
@@ -271,11 +257,6 @@ void MembershipManager::do_kill(NodeId node) {
   if (node >= nodes_.size()) return;
   NodeInfo& info = nodes_[node];
   if (info.state == MembershipState::kDown) return;
-  // Down FIRST: a steal committing toward (or from) a dying node would put
-  // an install frame on a link that cannot retransmit until rejoin, so all
-  // speculation windows involving it are force-aborted before export.
-  info.state = MembershipState::kDraining;  // keep node_up true for rollback
-  resolve_steals_involving(node);
   info.state = MembershipState::kDown;
   info.drain_requested.clear();
 
@@ -355,88 +336,6 @@ void MembershipManager::do_rejoin(NodeId node) {
   MRTS_LOG_INFO("membership: node {} rejoined ({} location seeds)", node,
                 seeds.size());
   retarget_budgets();
-}
-
-// --- work stealing ---------------------------------------------------------
-
-void MembershipManager::advance_steals(std::uint64_t step) {
-  std::vector<PendingSteal> keep;
-  keep.reserve(steals_.size());
-  for (PendingSteal& s : steals_) {
-    if (s.decide_step > step) {
-      keep.push_back(std::move(s));
-      continue;
-    }
-    const bool committed = cluster_->node(s.victim).steal_resolve(
-        s.ptr, s.thief, std::move(s.frame));
-    if (committed) {
-      ++stats_.steals_committed;
-      m_steals_committed_->inc();
-    } else {
-      ++stats_.steals_aborted;
-      m_steals_aborted_->inc();
-    }
-  }
-  steals_ = std::move(keep);
-}
-
-void MembershipManager::try_claim_steal(std::uint64_t step) {
-  if (steals_.size() >= options_.steal_max_inflight) return;
-  NodeId victim = 0, thief = 0;
-  std::uint64_t vload = 0;
-  std::uint64_t tload = std::numeric_limits<std::uint64_t>::max();
-  std::size_t thosted = 0;
-  bool have_victim = false, have_thief = false;
-  for (NodeId id = 0; id < static_cast<NodeId>(nodes_.size()); ++id) {
-    if (nodes_[id].state != MembershipState::kUp) continue;
-    const std::uint64_t load = cluster_->node(id).queued_messages();
-    const std::size_t hosted = cluster_->node(id).local_objects();
-    if (!have_victim || load > vload) {
-      vload = load;
-      victim = id;
-      have_victim = true;
-    }
-    // A Suspect node still makes a fine victim (shedding its queue is the
-    // point) but never a thief: handing it more work while it is slow is
-    // the anti-mitigation.
-    if (health_ != nullptr && !health_->node_healthy(id)) continue;
-    // Queue ties break toward the node hosting the fewest objects, so a
-    // freshly rejoined (empty) member wins the thief slot over survivors
-    // that already absorbed earlier steals.
-    if (!have_thief || load < tload || (load == tload && hosted < thosted)) {
-      tload = load;
-      thosted = hosted;
-      thief = id;
-      have_thief = true;
-    }
-  }
-  if (!have_victim || !have_thief || victim == thief) return;
-  if (vload < options_.steal_min_queue || vload < 2 * tload + 1) return;
-  for (MobilePtr p : hosted_objects(victim)) {
-    std::vector<std::byte> frame;
-    if (!cluster_->node(victim).steal_claim(p, frame)) continue;
-    steals_.push_back(PendingSteal{p, victim, thief,
-                                   step + options_.steal_decision_delay,
-                                   std::move(frame)});
-    ++stats_.steals_claimed;
-    return;  // one claim per check
-  }
-}
-
-void MembershipManager::resolve_steals_involving(NodeId node) {
-  std::vector<PendingSteal> keep;
-  keep.reserve(steals_.size());
-  for (PendingSteal& s : steals_) {
-    if (s.victim != node && s.thief != node) {
-      keep.push_back(std::move(s));
-      continue;
-    }
-    cluster_->node(s.victim).steal_resolve(s.ptr, s.thief, std::move(s.frame),
-                                           /*force_abort=*/true);
-    ++stats_.steals_aborted;
-    m_steals_aborted_->inc();
-  }
-  steals_ = std::move(keep);
 }
 
 // --- helpers ---------------------------------------------------------------

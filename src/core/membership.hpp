@@ -6,7 +6,7 @@
 // sweeps and the MembershipView liveness oracle the runtimes (and the
 // cluster's balance monitor) consult when routing, migrating, or shedding.
 //
-// Three elasticity paths:
+// Two elasticity paths:
 //
 //   planned drain   Up -> Draining -> Down. A draining node stops accepting
 //                   new placements (migrate()/shed advice refuse it) while
@@ -34,26 +34,16 @@
 //                   the fabric's in-flight balance keeps the run from
 //                   quiescing over it.
 //
-//   work stealing   Every steal_check_interval sweeps the manager pairs the
-//                   most-loaded Up node (victim) with the least-loaded
-//                   accepting node (thief) and, when the imbalance is large
-//                   enough, claims one queued object off the victim
-//                   (Runtime::steal_claim freezes the entry and snapshots it
-//                   into an install-wire frame — the speculation
-//                   checkpoint). After steal_decision_delay sweeps the claim
-//                   resolves: commit ships the frame to the thief over the
-//                   install channel; any conflicting mutation that landed in
-//                   the window (arrival, lock, migrate, multicast collect,
-//                   thief stopped accepting) rolls the object back from the
-//                   frame instead. Work executes only at the thief after
-//                   commit, so handlers still run exactly once and
-//                   deterministic digests match the no-steal twin.
+// Rebalancing onto a joiner (or away from a loaded survivor) is not the
+// manager's job: turn on ClusterOptions::balance and the cluster balancer
+// sheds queued objects through ordinary migration, skipping nodes this
+// view reports down, draining or Suspect, and breaking queue ties toward
+// the node hosting the fewest objects, so a fresh rejoiner is chosen.
 //
 // Everything happens on the single driver thread between sweeps; no new AM
-// channels exist — commit reuses the install path and all orchestration is
-// driver-side. quiescent() vetoes termination while events remain
-// unfired, steals are unresolved, or a node is still Draining, so a
-// scheduled rejoin can never be skipped by early quiescence.
+// channels exist and all orchestration is driver-side. quiescent() vetoes
+// termination while events remain unfired or a node is still Draining, so
+// a scheduled rejoin can never be skipped by early quiescence.
 
 #include <cstdint>
 #include <vector>
@@ -96,19 +86,6 @@ struct MembershipEventSpec {
 struct MembershipOptions {
   /// Transition schedule on virtual sweep numbers; sorted by the manager.
   std::vector<MembershipEventSpec> events;
-  /// Hosted objects a draining node migrates out per sweep.
-  std::size_t drain_objects_per_step = 2;
-  /// Enable the speculative work-stealing monitor.
-  bool work_stealing = false;
-  /// Sweeps between steal-opportunity checks.
-  std::uint64_t steal_check_interval = 4;
-  /// Speculation window: sweeps between claim and commit/rollback.
-  std::uint64_t steal_decision_delay = 2;
-  /// Unresolved claims allowed at once.
-  std::size_t steal_max_inflight = 2;
-  /// A victim must have at least this many queued messages to be stolen
-  /// from, and at least 2x the thief's queue + 1.
-  std::uint64_t steal_min_queue = 8;
 };
 
 struct MembershipStats {
@@ -118,9 +95,6 @@ struct MembershipStats {
   std::uint64_t objects_drained = 0;  // migrated off draining nodes
   std::uint64_t objects_rebuilt = 0;  // crash exports reinstalled elsewhere
   std::uint64_t objects_lost = 0;     // no intact copy found (or poisoned)
-  std::uint64_t steals_claimed = 0;
-  std::uint64_t steals_committed = 0;
-  std::uint64_t steals_aborted = 0;
   std::uint64_t handoff_updates = 0;  // epoch-versioned seeds delivered
 };
 
@@ -143,7 +117,7 @@ class MembershipManager final : public StepObserver, public MembershipView {
 
   /// Overlays gray-failure health onto liveness: a Suspect node stays Up
   /// (it keeps serving, its traffic still flows) but node_accepting turns
-  /// false and placement round-robin, steal thief choice, and fallback
+  /// false and placement round-robin, shed-advice targets, and fallback
   /// preference all route around it while any healthy alternative exists.
   /// Installed by HealthMonitor::attach(cluster, manager); pass nullptr to
   /// detach.
@@ -169,7 +143,6 @@ class MembershipManager final : public StepObserver, public MembershipView {
   [[nodiscard]] bool all_events_fired() const {
     return next_event_ >= options_.events.size();
   }
-  [[nodiscard]] std::size_t pending_steals() const { return steals_.size(); }
 
  private:
   struct NodeInfo {
@@ -180,13 +153,6 @@ class MembershipManager final : public StepObserver, public MembershipView {
     /// (and counts as drained) once the node no longer hosts it.
     std::vector<MobilePtr> drain_requested;
   };
-  struct PendingSteal {
-    MobilePtr ptr;
-    NodeId victim = 0;
-    NodeId thief = 0;
-    std::uint64_t decide_step = 0;
-    std::vector<std::byte> frame;
-  };
 
   void process_events(std::uint64_t step);
   void begin_drain(NodeId node, std::uint64_t step);
@@ -195,12 +161,6 @@ class MembershipManager final : public StepObserver, public MembershipView {
   void complete_drain(NodeId node, std::uint64_t step);
   void do_kill(NodeId node);
   void do_rejoin(NodeId node);
-  void advance_steals(std::uint64_t step);
-  void try_claim_steal(std::uint64_t step);
-  /// Force-aborts every unresolved claim where `node` is victim or thief
-  /// (membership teardown: the frame must not be in flight across a state
-  /// change).
-  void resolve_steals_involving(NodeId node);
   void retarget_budgets();
   /// Round-robin over accepting nodes, skipping `exclude`; `exclude` itself
   /// when no other accepting node exists.
@@ -217,15 +177,12 @@ class MembershipManager final : public StepObserver, public MembershipView {
   StepObserver* inner_ = nullptr;
   std::vector<NodeInfo> nodes_;
   std::size_t next_event_ = 0;
-  std::vector<PendingSteal> steals_;
   std::size_t rr_target_ = 0;
   MembershipStats stats_;
-  obs::Counter* m_drains_;            // membership.drains
-  obs::Counter* m_kills_;             // membership.kills
-  obs::Counter* m_rejoins_;           // membership.rejoins
-  obs::Counter* m_steals_committed_;  // membership.steals_committed
-  obs::Counter* m_steals_aborted_;    // membership.steals_aborted
-  obs::Counter* m_objects_rebuilt_;   // membership.objects_rebuilt
+  obs::Counter* m_drains_;           // membership.drains
+  obs::Counter* m_kills_;            // membership.kills
+  obs::Counter* m_rejoins_;          // membership.rejoins
+  obs::Counter* m_objects_rebuilt_;  // membership.objects_rebuilt
 };
 
 }  // namespace mrts::core

@@ -31,8 +31,6 @@ struct OocOptions {
   double hard_multiplier = 2.0;
   double soft_fraction = 0.5;
   storage::EvictionScheme scheme = storage::EvictionScheme::kLru;
-  /// Maximum loads in flight at once (prefetch depth).
-  int max_concurrent_loads = 2;
 };
 
 class OocLayer {

@@ -149,14 +149,6 @@ Runtime::Entry* Runtime::find_entry(MobilePtr ptr) {
   return it == directory_.end() ? nullptr : &it->second;
 }
 
-std::size_t Runtime::local_objects() const {
-  std::size_t n = 0;
-  for (const auto& [ptr, e] : directory_) {
-    if (e.state != Residency::kRemote) ++n;
-  }
-  return n;
-}
-
 // --------------------------------------------------------------------------
 // Object lifetime
 
@@ -174,6 +166,7 @@ MobilePtr Runtime::adopt(TypeId type, std::unique_ptr<MobileObject> obj) {
   e.epoch = 1;
   auto [it, inserted] = directory_.emplace(ptr, std::move(e));
   assert(inserted);
+  hosted_objects_.fetch_add(1, std::memory_order_acq_rel);
   ooc_.on_install(ptr.id, fp);
   it->second.obj->on_register(*this, ptr);
   counters_.objects_created.fetch_add(1, std::memory_order_relaxed);
@@ -188,10 +181,6 @@ void Runtime::destroy(MobilePtr ptr) {
   }
   if (e.running) {
     throw std::logic_error("mrts: destroy() on an object running a handler");
-  }
-  if (e.stolen) {
-    throw std::logic_error(
-        "mrts: destroy() during a steal speculation window");
   }
   if (e.state == Residency::kInCore) {
     e.obj->on_unregister(*this);
@@ -211,6 +200,7 @@ void Runtime::destroy(MobilePtr ptr) {
   }
   sub_queued(e.queue.size());
   directory_.erase(ptr);
+  hosted_objects_.fetch_sub(1, std::memory_order_acq_rel);
   bump_activity();
 }
 
@@ -328,19 +318,6 @@ void Runtime::enqueue_local(Entry& e, MobilePtr ptr, QueuedMessage msg) {
     counters_.poisoned_messages_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (e.stolen) {
-    // Speculation window: the claim-time image of this object is pending a
-    // steal decision. The arrival is a conflicting mutation — park it on the
-    // (detached-from) queue and flag the conflict; the decision step rolls
-    // the object back and re-splices the claimed messages ahead of this one.
-    e.steal_conflict = true;
-    obs::TraceRecorder& tr = obs::TraceRecorder::global();
-    if (tr.enabled()) msg.enq_ts = tr.now();
-    e.queue.push_back(std::move(msg));
-    queued_messages_.fetch_add(1, std::memory_order_acq_rel);
-    bump_activity();
-    return;
-  }
   if (e.state == Residency::kInCore) {
     ooc_hits_->inc();
   } else {
@@ -414,7 +391,6 @@ void Runtime::lock_in_core(MobilePtr ptr) {
   if (e.state == Residency::kRemote) {
     throw std::logic_error("mrts: lock_in_core() on a remote object");
   }
-  if (e.stolen) e.steal_conflict = true;  // conflicting mutation: claim aborts
   ++e.lock_count;
   if (e.poisoned) return;  // nothing loadable; health says kPoisoned
   if (want_load(e, ptr)) bump_activity();
@@ -491,12 +467,8 @@ void Runtime::migrate(MobilePtr ptr, NodeId dst) {
     refuse_migration(ptr, dst);
     return;
   }
-  if (e.stolen) {
-    // Conflicting mutation during a speculation window: flag the conflict
-    // (the claim will abort) and keep the intent pending until then.
-    e.steal_conflict = true;
-  } else if (e.state == Residency::kInCore && !e.running &&
-             e.lock_count == 0 && e.collect_for == 0) {
+  if (e.state == Residency::kInCore && !e.running && e.lock_count == 0 &&
+      e.collect_for == 0) {
     do_migrate(ptr, e, dst);
     return;
   }
@@ -517,12 +489,6 @@ void Runtime::migrate(MobilePtr ptr, NodeId dst) {
   ++e.lock_count;
   pending_migrations_.emplace_back(ptr, dst);
   bump_activity();
-}
-
-std::vector<std::byte> Runtime::make_install_frame(MobilePtr ptr, Entry& e) {
-  util::ByteWriter w(e.footprint + 256);
-  write_install_frame(w, ptr, e);
-  return w.take();
 }
 
 void Runtime::write_install_frame(util::ByteWriter& w, MobilePtr ptr,
@@ -606,6 +572,7 @@ void Runtime::install_object(ObjectRecord rec) {
   auto [it, inserted] = directory_.try_emplace(rec.ptr, Entry{});
   Entry& e = it->second;
   assert(e.state == Residency::kRemote || inserted);
+  hosted_objects_.fetch_add(1, std::memory_order_acq_rel);
   e.state = Residency::kInCore;
   e.type = rec.type;
   e.obj = std::move(rec.obj);
@@ -643,6 +610,7 @@ void Runtime::do_migrate(MobilePtr ptr, Entry& e, NodeId dst) {
     e.stored_gen = 0;
   }
   e.state = Residency::kRemote;
+  hosted_objects_.fetch_sub(1, std::memory_order_acq_rel);
   e.last_known = dst;
   e.epoch += 1;  // matches the epoch written into the install message
   sub_queued(e.queue.size());
@@ -704,12 +672,6 @@ bool Runtime::advance_pending_migrations() {
   for (auto& [ptr, dst] : pending) {
     Entry* e = find_entry(ptr);
     if (e == nullptr) continue;  // destroyed while pending
-    if (e->stolen) {
-      // Frozen by a steal claim; the conflict flag is already set (migrate()
-      // set it) so the claim will abort — retry after the decision.
-      pending_migrations_.emplace_back(ptr, dst);
-      continue;
-    }
     if (!peer_accepting(dst)) {
       // The target left (or started draining) while the migration was
       // pending: refuse now instead of retrying forever.
@@ -845,13 +807,6 @@ bool Runtime::advance_multicasts() {
         dropped = true;
         break;
       }
-      if (e != nullptr && e->stolen) {
-        // Frozen by a steal claim: collecting it is a conflicting mutation.
-        // Abort the claim; collection resumes once the rollback lands.
-        e->steal_conflict = true;
-        all_ready = false;
-        continue;
-      }
       if (e == nullptr || e->state == Residency::kRemote) {
         all_ready = false;
         if (!op.requested[t]) {
@@ -939,12 +894,12 @@ bool Runtime::advance_multicasts() {
 
 bool Runtime::evictable(const Entry& e) const {
   return e.state == Residency::kInCore && !e.running && e.lock_count == 0 &&
-         e.collect_for == 0 && !e.stolen && e.queue.empty() && !e.load_wanted;
+         e.collect_for == 0 && e.queue.empty() && !e.load_wanted;
 }
 
 bool Runtime::evictable_relaxed(const Entry& e) const {
   return e.state == Residency::kInCore && !e.running && e.lock_count == 0 &&
-         e.collect_for == 0 && !e.stolen;
+         e.collect_for == 0;
 }
 
 bool Runtime::spill_one_victim(bool allow_relaxed) {
@@ -1055,10 +1010,12 @@ void Runtime::spill(MobilePtr ptr, Entry& e) {
 }
 
 bool Runtime::schedule_loads() {
+  // Loads in flight at once (prefetch depth).
+  constexpr int kMaxConcurrentLoads = 2;
   bool did = false;
   std::size_t attempts = load_queue_.size();
   while (attempts-- > 0 && !load_queue_.empty() &&
-         outstanding_loads_ < ooc_.options().max_concurrent_loads) {
+         outstanding_loads_ < kMaxConcurrentLoads) {
     const MobilePtr ptr = load_queue_.front();
     load_queue_.pop_front();
     Entry* e = find_entry(ptr);
@@ -1464,7 +1421,7 @@ bool Runtime::apply_shed_advice() {
   for (const auto& [ptr, e] : directory_) {
     if (shed + victims.size() >= count) break;
     if (e.state != Residency::kInCore || e.queue.empty() || e.running ||
-        e.lock_count != 0 || e.collect_for != 0 || e.stolen) {
+        e.lock_count != 0 || e.collect_for != 0) {
       continue;
     }
     victims.push_back(ptr);
@@ -1519,11 +1476,7 @@ bool Runtime::progress_once() {
     if (!pending) {
       for (const auto& [ptr, e] : directory_) {
         if (e.state == Residency::kRemote) continue;
-        // A frozen steal ticket is pending work: the entry's queue is
-        // detached into the claim frame, so without this the node could go
-        // idle — and the driver quiesce — before the decision step resolves
-        // the claim.
-        if (!e.queue.empty() || e.load_wanted || e.stolen) {
+        if (!e.queue.empty() || e.load_wanted) {
           pending = true;
           break;
         }
@@ -1546,11 +1499,6 @@ util::Status Runtime::checkpoint_to(util::ByteWriter& out) {
       return util::Status(util::StatusCode::kInvalidArgument,
                           "checkpoint_to called with I/O in flight (not a "
                           "phase boundary)");
-    }
-    if (e.stolen) {
-      return util::Status(util::StatusCode::kInvalidArgument,
-                          "checkpoint_to called with a steal speculation in "
-                          "flight (not a phase boundary)");
     }
   }
   out.write(next_seq_);
@@ -1597,14 +1545,20 @@ util::Status Runtime::checkpoint_to(util::ByteWriter& out) {
 }
 
 util::Status Runtime::restore_from(util::ByteReader& in) {
-  // Phase 1: parse and validate the whole image without touching runtime
-  // state, so a truncated or corrupt checkpoint cannot install a partial
-  // world (ArchiveError covers reads past a truncated buffer and an object
-  // count the remaining bytes cannot hold).
-  std::uint64_t seq = 0;
+  auto image = parse_restore_image(in);
+  if (!image.is_ok()) return image.status();
+  install_restore_image(std::move(image).value());
+  return util::Status::ok();
+}
+
+util::Result<Runtime::RestoreImage> Runtime::parse_restore_image(
+    util::ByteReader& in) {
+  // ArchiveError covers reads past a truncated buffer and an object count
+  // the remaining bytes cannot hold.
+  RestoreImage image;
   std::vector<util::Result<ObjectRecord>> records;
   try {
-    seq = in.read<std::uint64_t>();
+    image.next_seq = in.read<std::uint64_t>();
     records = in.read_vector_with<util::Result<ObjectRecord>>(
         [this](util::ByteReader& r) {
           return read_object_record(r, "restore.deserialize");
@@ -1615,7 +1569,8 @@ util::Status Runtime::restore_from(util::ByteReader& in) {
                             err.what());
   }
   std::unordered_set<MobilePtr> ids;
-  for (const auto& rec : records) {
+  image.records.reserve(records.size());
+  for (auto& rec : records) {
     if (!rec.is_ok()) return rec.status();
     if (!ids.insert(rec.value().ptr).second) {
       return util::Status(util::StatusCode::kCorruption,
@@ -1627,12 +1582,21 @@ util::Status Runtime::restore_from(util::ByteReader& in) {
                           "restore over an existing local object " +
                               to_string(rec.value().ptr));
     }
+    image.records.push_back(std::move(rec).value());
   }
+  return image;
+}
 
-  // Phase 2: install. Nothing below can fail.
-  next_seq_ = std::max(next_seq_, seq);
-  for (auto& rec : records) install_object(std::move(rec).value());
-  return util::Status::ok();
+void Runtime::install_restore_image(RestoreImage image) {
+  next_seq_ = std::max(next_seq_, image.next_seq);
+  for (ObjectRecord& rec : image.records) install_object(std::move(rec));
+}
+
+std::vector<MobilePtr> Runtime::RestoreImage::ids() const {
+  std::vector<MobilePtr> out;
+  out.reserve(records.size());
+  for (const ObjectRecord& rec : records) out.push_back(rec.ptr);
+  return out;
 }
 
 void Runtime::note_remote_location(MobilePtr ptr, NodeId where) {
@@ -1658,7 +1622,7 @@ void Runtime::note_remote_location(MobilePtr ptr, NodeId where,
 }
 
 // --------------------------------------------------------------------------
-// Elastic membership: routing guards, work stealing, crash export/rebuild
+// Elastic membership: routing guards, crash export/rebuild
 
 bool Runtime::hosts(MobilePtr ptr) const {
   const Entry* e = find_entry(ptr);
@@ -1694,113 +1658,6 @@ void Runtime::refuse_migration(MobilePtr ptr, NodeId dst) {
                 node_, to_string(ptr), dst);
 }
 
-bool Runtime::steal_claim(MobilePtr ptr, std::vector<std::byte>& frame) {
-  Entry* e = find_entry(ptr);
-  if (e == nullptr || e->state != Residency::kInCore || e->obj == nullptr ||
-      e->running || e->lock_count != 0 || e->collect_for != 0 ||
-      e->poisoned || e->stolen || e->queue.empty()) {
-    return false;
-  }
-  // The frame is simultaneously the payload a commit ships to the thief
-  // (install-wire format, epoch + 1) and the checkpoint image an abort
-  // restores from. The entry keeps its current epoch until the decision.
-  frame = make_install_frame(ptr, *e);
-  e->obj.reset();
-  ooc_.on_remove(ptr.id);
-  if (e->blob_bytes > 0) {
-    // Like a migration: no stale spill copy may outlive the (speculative)
-    // move. An abort reinstalls in core with no blob identity, which only
-    // costs a future elision.
-    store_.erase(ptr.id);
-    ooc_.on_spill_erased(ptr.id);
-    e->blob_bytes = 0;
-    e->blob_crc = 0;
-    e->stored_gen = 0;
-  }
-  sub_queued(e->queue.size());
-  e->queue.clear();
-  e->in_ready_list = false;
-  e->stolen = true;
-  e->steal_conflict = false;
-  counters_.steals_claimed.fetch_add(1, std::memory_order_relaxed);
-  obs::TraceRecorder::global().instant(obs::Cat::kOther, "steal.claim",
-                                       static_cast<std::uint16_t>(node_),
-                                       ptr.id);
-  bump_activity();
-  return true;
-}
-
-bool Runtime::steal_resolve(MobilePtr ptr, NodeId thief,
-                            std::vector<std::byte> frame, bool force_abort) {
-  Entry* e = find_entry(ptr);
-  if (e == nullptr || !e->stolen) {
-    throw std::logic_error("mrts: steal_resolve() without a pending claim");
-  }
-  const bool conflict = force_abort || e->steal_conflict ||
-                        e->lock_count > 0 || !peer_accepting(thief);
-  if (!conflict) {
-    e->state = Residency::kRemote;
-    e->last_known = thief;
-    e->epoch += 1;  // matches the epoch inside the claim frame
-    e->stolen = false;
-    e->steal_conflict = false;
-    e->in_ready_list = false;
-    counters_.steals_committed.fetch_add(1, std::memory_order_relaxed);
-    counters_.migrations_out.fetch_add(1, std::memory_order_relaxed);
-    obs::TraceRecorder::global().instant(obs::Cat::kOther, "steal.commit",
-                                         static_cast<std::uint16_t>(node_),
-                                         thief);
-    net_send(thief, am_install_id_, std::move(frame));
-    bump_activity();
-    return true;
-  }
-  // Rollback: restore the object from the claim-time image and re-splice
-  // the claimed messages AHEAD of anything that parked during the window,
-  // preserving the pre-claim local FIFO order. The handler never ran at the
-  // thief (execution only happens after a commit), so this is exactly-once.
-  util::ByteReader in(frame);
-  auto rec = read_object_record(in, "steal.rollback");
-  if (!rec.is_ok()) {
-    // The image never left this process; a bad seal is a broken claim path,
-    // not a recoverable storage fault.
-    throw std::runtime_error("mrts: steal rollback " +
-                             rec.status().to_string());
-  }
-  // The record's claim epoch is unused: the entry kept its own.
-  ObjectRecord& claimed = rec.value();
-  assert(claimed.ptr == ptr);
-  const std::size_t fp = claimed.obj->footprint_bytes();
-  while (ooc_.hard_pressure(fp) && spill_one_victim()) {
-  }
-  e->obj = std::move(claimed.obj);
-  e->type = claimed.type;
-  e->priority = claimed.priority;
-  e->footprint = fp;
-  queued_messages_.fetch_add(claimed.queue.size(), std::memory_order_acq_rel);
-  e->queue.insert(e->queue.begin(),
-                  std::make_move_iterator(claimed.queue.begin()),
-                  std::make_move_iterator(claimed.queue.end()));
-  e->stolen = false;
-  e->steal_conflict = false;
-  ooc_.on_install(ptr.id, fp);
-  e->obj->on_register(*this, ptr);
-  counters_.steals_aborted.fetch_add(1, std::memory_order_relaxed);
-  obs::TraceRecorder::global().instant(obs::Cat::kOther, "steal.abort",
-                                       static_cast<std::uint16_t>(node_),
-                                       ptr.id);
-  if (!e->queue.empty()) push_ready(*e, ptr);
-  bump_activity();
-  return false;
-}
-
-std::size_t Runtime::stolen_entries() const {
-  std::size_t n = 0;
-  for (const auto& [ptr, e] : directory_) {
-    if (e.stolen) ++n;
-  }
-  return n;
-}
-
 std::vector<Runtime::RecoveredObject> Runtime::crash_export() {
   // Settle in-flight I/O first so every entry is kInCore or kOnDisk (a
   // drained completion can trigger recovery spills, hence the loop).
@@ -1809,7 +1666,6 @@ std::vector<Runtime::RecoveredObject> Runtime::crash_export() {
   std::vector<RecoveredObject> out;
   for (auto& [ptr, e] : directory_) {
     if (e.state == Residency::kRemote) continue;
-    assert(!e.stolen && "steals must be force-resolved before crash_export");
     RecoveredObject rec;
     rec.ptr = ptr;
     rec.epoch = e.epoch + 1;
@@ -1819,8 +1675,10 @@ std::vector<Runtime::RecoveredObject> Runtime::crash_export() {
       continue;
     }
     if (e.state == Residency::kInCore && e.obj != nullptr) {
-      rec.frame = make_install_frame(ptr, e);
-      // make_install_frame unregistered the object; the wipe discards it.
+      util::ByteWriter w(e.footprint + 256);
+      // Unregisters the object; the wipe discards it.
+      write_install_frame(w, ptr, e);
+      rec.frame = w.take();
       out.push_back(std::move(rec));
       continue;
     }
@@ -1859,10 +1717,9 @@ void Runtime::crash_wipe() {
   while (drain_completions()) store_.drain();
   for (auto& [ptr, e] : directory_) {
     if (e.state == Residency::kRemote) continue;
-    assert(!e.stolen && "steals must be force-resolved before crash_wipe");
     if (e.obj != nullptr) {
       // crash_export may already have unregistered it via
-      // make_install_frame; on_unregister is idempotent for our objects but
+      // write_install_frame; on_unregister is idempotent for our objects but
       // the ooc bookkeeping must go exactly once.
       e.obj.reset();
       ooc_.on_remove(ptr.id);
@@ -1878,6 +1735,7 @@ void Runtime::crash_wipe() {
     sub_queued(e.queue.size());
   }
   directory_.clear();
+  hosted_objects_.store(0, std::memory_order_release);
   ready_.clear();
   load_queue_.clear();
   multicasts_.clear();

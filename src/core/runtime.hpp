@@ -47,8 +47,7 @@ class MembershipView {
   /// The node is running (Up or Draining): it polls its inbox and makes
   /// progress. Down nodes do neither.
   [[nodiscard]] virtual bool node_up(NodeId node) const = 0;
-  /// The node accepts new placements, migrations, and stolen work (Up and
-  /// not Draining).
+  /// The node accepts new placements and migrations (Up and not Draining).
   [[nodiscard]] virtual bool node_accepting(NodeId node) const = 0;
   /// The node left permanently (planned drain reached Down): it will never
   /// poll its inbox again, so stale routes naming it must be re-aimed. A
@@ -302,7 +301,10 @@ class Runtime {
   [[nodiscard]] std::size_t write_behind_inflight_bytes() const {
     return write_behind_inflight_bytes_;
   }
-  [[nodiscard]] std::size_t local_objects() const;
+  /// Objects hosted here (any residency but kRemote). Thread-safe.
+  [[nodiscard]] std::size_t local_objects() const {
+    return hosted_objects_.load(std::memory_order_acquire);
+  }
   [[nodiscard]] const storage::StorageBackend& spill_backend() const {
     return store_.backend();
   }
@@ -344,10 +346,21 @@ class Runtime {
   /// configured, each object's sealed blob is also copied into it.
   [[nodiscard]] util::Status checkpoint_to(util::ByteWriter& out);
 
-  /// Installs objects previously written by checkpoint_to on this node.
-  /// Two-phase: the image is fully parsed and validated first, then
-  /// installed, so a truncated or corrupt image leaves the node unchanged.
+  /// Installs objects previously written by checkpoint_to on this node:
+  /// parse_restore_image, then install_restore_image, so a truncated or
+  /// corrupt image leaves the node unchanged.
   [[nodiscard]] util::Status restore_from(util::ByteReader& in);
+
+  /// A checkpoint_to image parsed and validated, not yet installed.
+  class RestoreImage;
+  /// Parses and validates an image without touching runtime state. A
+  /// truncated or malformed image, a bad object seal, an unregistered type
+  /// or an id named twice is kCorruption; an id this node already hosts is
+  /// kAlreadyExists.
+  [[nodiscard]] util::Result<RestoreImage> parse_restore_image(
+      util::ByteReader& in);
+  /// Installs a parsed image. Cannot fail.
+  void install_restore_image(RestoreImage image);
 
   /// Seeds the directory cache: the object is currently hosted at `where`.
   /// Used after restore so home nodes relearn migrated objects' locations.
@@ -369,30 +382,6 @@ class Runtime {
 
   /// True when this node hosts the object (any residency except kRemote).
   [[nodiscard]] bool hosts(MobilePtr ptr) const;
-
-  /// Work stealing, claim half. If the object is stealable (in-core, idle,
-  /// unlocked, unpoisoned, not collected, with queued work), detaches it —
-  /// object state plus message queue — into an install-wire frame written to
-  /// `frame` and freezes the entry (Entry::stolen). The frame doubles as the
-  /// speculation checkpoint: commit ships it to the thief over the existing
-  /// install path, abort deserializes it back. Returns false (and leaves the
-  /// entry untouched) when the object is not stealable.
-  [[nodiscard]] bool steal_claim(MobilePtr ptr, std::vector<std::byte>& frame);
-
-  /// Work stealing, decision half, called at the end of the speculation
-  /// window. Commits (entry flips to kRemote at `thief`, epoch bumped, frame
-  /// shipped via the install channel) unless a conflicting mutation landed
-  /// during the window — an arrival, lock, multicast collect, or migrate on
-  /// the frozen entry, or the thief no longer accepting — in which case the
-  /// claim rolls back: the object is restored from the frame and the claimed
-  /// messages are re-spliced ahead of window arrivals, preserving local
-  /// FIFO. `force_abort` rolls back unconditionally (membership teardown).
-  /// Returns true on commit, false on rollback.
-  bool steal_resolve(MobilePtr ptr, NodeId thief, std::vector<std::byte> frame,
-                     bool force_abort = false);
-
-  /// Entries currently frozen by an unresolved steal claim.
-  [[nodiscard]] std::size_t stolen_entries() const;
 
   /// One object exported by crash_export(): the install-wire frame that
   /// reinstalls it (queue included) on a survivor, or lost=true when no
@@ -523,12 +512,6 @@ class Runtime {
     /// a poisoned one).
     std::uint64_t stored_gen = 0;
     std::uint64_t collect_for = 0;  // nonzero: reserved by a multicast op
-    /// Work-stealing speculation window: steal_claim() detached the object
-    /// and its queue into a claim frame (the rollback image); the entry is
-    /// frozen until steal_resolve() commits or aborts. Arrivals during the
-    /// window park on the queue and set steal_conflict.
-    bool stolen = false;
-    bool steal_conflict = false;
     /// kStoring only: dirty generation of the spill in flight. With
     /// spill_crc it becomes the blob identity above when its store lands.
     /// Kept last (and spill_crc in blob_crc's padding) so the fields before
@@ -538,8 +521,8 @@ class Runtime {
   };
 
   /// One mobile object as it travels and rests: the single record format
-  /// of migration and steal frames, crash-export frames and checkpoint
-  /// images. On the wire:
+  /// of migration frames, crash-export frames and checkpoint images. On
+  /// the wire:
   ///   [id:u64][type:TypeId][epoch:u64][priority:i32][queue_len:u64]
   ///   queue_len x [handler:HandlerId][src:NodeId][payload:u64 len + bytes]
   ///   [sealed state:u64 len + serialized object + CRC32]
@@ -552,6 +535,20 @@ class Runtime {
     std::unique_ptr<MobileObject> obj;
   };
 
+
+ public:
+  class RestoreImage {
+   public:
+    /// Ids of the objects the image holds, in image order.
+    [[nodiscard]] std::vector<MobilePtr> ids() const;
+
+   private:
+    friend class Runtime;
+    std::uint64_t next_seq = 0;
+    std::vector<ObjectRecord> records;
+  };
+
+ private:
   struct Completion {
     std::uint64_t key;
     bool is_load;
@@ -666,14 +663,10 @@ class Runtime {
   bool apply_shed_advice();
   void do_migrate(MobilePtr ptr, Entry& e, NodeId dst);
   /// Serializes `e` (which must hold an in-core object) into the
-  /// install-wire frame am_install consumes, carrying epoch `e.epoch + 1`.
-  /// Shared by migration, steal claims, and crash export.
-  [[nodiscard]] std::vector<std::byte> make_install_frame(MobilePtr ptr,
-                                                          Entry& e);
-  /// Body of make_install_frame, writing into a caller-provided writer so
-  /// the migration path can serialize straight into the reliable link's
-  /// batch frame (zero-copy) while steal claims and crash export keep
-  /// their owned-vector form. Unregisters the object.
+  /// install-wire frame am_install consumes, carrying epoch `e.epoch + 1`,
+  /// written into a caller-provided writer so the migration path can
+  /// serialize straight into the reliable link's batch frame (zero-copy).
+  /// Unregisters the object.
   void write_install_frame(util::ByteWriter& w, MobilePtr ptr, Entry& e);
   /// Writes the ObjectRecord of `e` at `epoch`. With `spilled` empty the
   /// in-core object is serialized and sealed in place; otherwise `spilled`
@@ -786,6 +779,9 @@ class Runtime {
   std::atomic<std::uint64_t> activity_{0};
   std::atomic<bool> idle_{false};
   std::atomic<std::uint64_t> queued_messages_{0};
+  /// Directory entries this node hosts (any residency but kRemote); read by
+  /// the cluster balancer's monitor thread.
+  std::atomic<std::size_t> hosted_objects_{0};
   std::atomic<std::uint32_t> shed_count_{0};
   std::atomic<NodeId> shed_target_{0};
 

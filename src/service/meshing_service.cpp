@@ -77,10 +77,13 @@ MeshingService::MeshingService(core::Cluster& cluster, ServiceOptions options,
 }
 
 std::size_t MeshingService::node_capacity_bytes(net::NodeId node) const {
+  // Fraction of each node's physical OOC budget the service may commit to
+  // job working sets; the rest absorbs reload overshoot and framing.
+  constexpr double kCommitFraction = 0.75;
   const auto physical =
       cluster_.node(node).options().ooc.memory_budget_bytes;
   return static_cast<std::size_t>(static_cast<double>(physical) *
-                                  options_.commit_fraction);
+                                  kCommitFraction);
 }
 
 AdmissionState MeshingService::ledger_snapshot(std::uint32_t /*tenant*/) const {

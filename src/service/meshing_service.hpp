@@ -52,9 +52,6 @@ struct ServiceOptions {
   /// Bound on each tenant's queue; submissions past it are shed. 0 = never
   /// queue-shed (the sweep's "zero sheds with adequate queues" config).
   std::size_t max_queue_per_tenant = 32;
-  /// Fraction of each node's physical OOC budget the service may commit to
-  /// job working sets; the rest absorbs reload overshoot and framing.
-  double commit_fraction = 0.75;
   /// Node working budgets are committed bytes times this headroom, clamped
   /// to [min_node_budget_bytes, physical].
   double budget_headroom = 1.25;

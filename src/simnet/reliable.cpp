@@ -19,6 +19,10 @@ namespace mrts::net {
 namespace {
 constexpr std::size_t kFrameHeaderBytes =
     sizeof(std::uint64_t) + sizeof(std::uint32_t);
+/// Virtual microseconds one on_tick() call represents when mapping
+/// RetryPolicy delays (microseconds) onto tick counts, and RTT ticks onto
+/// the ack-RTT histogram.
+constexpr std::uint64_t kTickQuantumUs = 100;
 }  // namespace
 
 ReliableLink::ReliableLink(Endpoint& endpoint, ReliableOptions options,
@@ -141,21 +145,19 @@ std::uint64_t ReliableLink::retx_delay_ticks(const TxFlow& flow, NodeId dst,
     // RTO = srtt + 4 * rttvar (Jacobson/Karels), clamped, then doubled per
     // attempt with the same growth cap as the fixed schedule. All integer
     // tick arithmetic over virtual-time samples: replays byte-identically.
+    constexpr std::uint64_t kMinRtoTicks = 4;
+    constexpr std::uint64_t kMaxRtoTicks = 2000;
     const std::uint64_t base = std::clamp<std::uint64_t>(
-        (flow.srtt_x8 >> 3) + flow.rttvar_x4, options_.min_rto_ticks,
-        options_.max_rto_ticks);
+        (flow.srtt_x8 >> 3) + flow.rttvar_x4, kMinRtoTicks, kMaxRtoTicks);
     const auto shift = static_cast<std::uint64_t>(std::max(capped, 1) - 1);
-    const std::uint64_t grown =
-        shift >= 63 ? options_.max_rto_ticks : base << shift;
-    return std::clamp<std::uint64_t>(grown, 1, options_.max_rto_ticks);
+    const std::uint64_t grown = shift >= 63 ? kMaxRtoTicks : base << shift;
+    return std::clamp<std::uint64_t>(grown, 1, kMaxRtoTicks);
   }
   const std::uint64_t key =
       (static_cast<std::uint64_t>(dst) << 32) ^ seq;
   const auto us = options_.retransmit.delay_for(key, std::max(capped, 1));
-  const std::uint64_t quantum = std::max<std::uint64_t>(
-      options_.tick_quantum_us, 1);
   return std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(us.count()) / quantum, 1);
+      static_cast<std::uint64_t>(us.count()) / kTickQuantumUs, 1);
 }
 
 bool ReliableLink::on_tick() {
@@ -284,8 +286,7 @@ void ReliableLink::on_ack(NodeId src, util::ByteReader& in) {
     // application observed. One cumulative ack retiring N frames records N
     // samples — one per frame, each erased here so no later (stale or
     // duplicate) ack can sample it again.
-    m_ack_rtt_->observe((tick_ - f->second.sent_tick) *
-                        options_.tick_quantum_us);
+    m_ack_rtt_->observe((tick_ - f->second.sent_tick) * kTickQuantumUs);
     // Karn's rule: only frames acked on their FIRST transmission feed the
     // RTT estimator — a retransmitted frame's ack is ambiguous (it may
     // answer either copy) and its sample is inflated by the backoff.

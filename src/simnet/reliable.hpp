@@ -73,9 +73,6 @@ struct ReliableOptions {
       .base_delay = std::chrono::microseconds(2500),
       .max_delay = std::chrono::microseconds(200'000),
   };
-  /// Virtual microseconds one on_tick() call represents when mapping
-  /// RetryPolicy delays (microseconds) onto tick counts.
-  std::uint64_t tick_quantum_us = 100;
   /// Frames a receiver buffers ahead of the next expected sequence; frames
   /// at or beyond next_expected + reorder_window are refused (and counted)
   /// until retransmission finds the window advanced.
@@ -98,9 +95,6 @@ struct ReliableOptions {
   /// function of virtual ticks. Off by default: the fixed schedule is baked
   /// into every existing sweep digest.
   bool adaptive_rto = false;
-  /// Clamp on the adaptive first-retransmit deadline, in ticks.
-  std::uint64_t min_rto_ticks = 4;
-  std::uint64_t max_rto_ticks = 2000;
   /// Escalation: after this many consecutive retransmits of the SAME frame
   /// the peer is reported suspect — `net.peer_suspect` counter plus the
   /// owner's suspect callback (the Runtime writes a FailureLedger record

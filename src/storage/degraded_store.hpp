@@ -28,7 +28,7 @@ struct DegradedWindow {
 /// scoring is relative, not absolute. A zero `base_op_us` charges nothing.
 struct DegradedPlan {
   std::uint64_t base_op_us = 50;
-  std::vector<DegradedWindow> windows;
+  std::vector<DegradedWindow> windows{};
 
   [[nodiscard]] bool degraded() const { return !windows.empty(); }
 };

@@ -47,7 +47,8 @@ LogStore::LogStore(LogStoreOptions options)
   if (!options_.in_memory) {
     std::error_code ec;
     fs::create_directories(options_.dir, ec);
-    if (options_.recover_on_open) recover_locked();
+    // Scan pre-existing segment files and rebuild the index.
+    recover_locked();
   }
   open_new_segment_locked();
 }
@@ -257,8 +258,10 @@ void LogStore::tick(std::uint64_t virtual_now) {
       virtual_now >= pending_since_tick_ + options_.flush_interval_ticks) {
     (void)commit_locked();
   }
-  compact_locked(options_.compactions_per_tick,
-                 options_.compact_garbage_ratio);
+  // Sealed segments compacted per tick: bounds maintenance work per
+  // control-loop iteration.
+  constexpr std::size_t kCompactionsPerTick = 1;
+  compact_locked(kCompactionsPerTick, options_.compact_garbage_ratio);
 }
 
 util::Status LogStore::flush() {

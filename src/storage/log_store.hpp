@@ -60,14 +60,9 @@ struct LogStoreOptions {
   std::size_t segment_target_bytes = 4u << 20;
   /// Sealed segments whose dead fraction reaches this ratio are compacted.
   double compact_garbage_ratio = 0.5;
-  /// Sealed segments compacted per tick — bounds maintenance work per
-  /// control-loop iteration.
-  std::size_t compactions_per_tick = 1;
   /// Keep segment files on destruction (crash-point tests reopen them);
   /// default matches FileStore's remove-on-close behavior.
   bool retain_on_close = false;
-  /// Scan pre-existing segment files on open and rebuild the index.
-  bool recover_on_open = true;
 };
 
 /// What the reopen scan found; exposed for the crash-point tests.

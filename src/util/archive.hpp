@@ -56,8 +56,10 @@ class ByteWriter {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void write(const T& value) {
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    buf().insert(buf().end(), p, p + sizeof(T));
+    std::vector<std::byte>& b = buf();
+    const std::size_t at = b.size();
+    b.resize(at + sizeof(T));
+    std::memcpy(b.data() + at, &value, sizeof(T));
   }
 
   void write_bytes(std::span<const std::byte> bytes) {

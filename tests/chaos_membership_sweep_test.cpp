@@ -2,7 +2,7 @@
 // where a planned drain, a fail-stop kill, and its paired rejoin race
 // storage blackouts, payload corruption, and a lossy fabric — with the
 // reliable-delivery layer, replicated spills, per-object checkpoints, and
-// speculative work stealing all engaged. Every seed must finish with zero
+// the cluster balancer all engaged. Every seed must finish with zero
 // lost objects, every scheduled transition fired, application state
 // byte-identical to a static-membership twin of the same seed, and a
 // byte-identical seed replay. Run selectively with `ctest -L membership`.
@@ -74,7 +74,7 @@ MembershipFaultPlan membership_schedule_plan() {
   plan.random_kills = 1;
   plan.random_drains = 1;
   plan.event_horizon_steps = 192;
-  plan.work_stealing = true;
+  plan.rebalance = true;
   return plan;
 }
 
@@ -94,6 +94,7 @@ struct SweepOutcome {
   std::uint64_t executed = 0;
   std::uint64_t expected = 0;
   std::uint64_t injected_faults = 0;
+  std::uint64_t migrations = 0;  // all nodes' migrations_in
   core::MembershipStats stats;
   std::string trace_text;
   std::uint32_t trace_crc = 0;
@@ -102,8 +103,9 @@ struct SweepOutcome {
 };
 
 /// One full run of seed `seed`. `elastic` chains a MembershipManager (one
-/// derived drain + one kill/rejoin pair, work stealing on) over the chaos
-/// harness; false is the static-membership twin of the same faulted seed.
+/// derived drain + one kill/rejoin pair) over the chaos harness and turns
+/// the cluster balancer on; false is the static-membership, balance-off
+/// twin of the same faulted seed.
 SweepOutcome run_sweep_config(std::uint64_t seed, bool elastic) {
   Harness harness(membership_fault_plan(seed));
   core::ClusterOptions options = membership_options();
@@ -114,7 +116,7 @@ SweepOutcome run_sweep_config(std::uint64_t seed, bool elastic) {
     const MembershipFaultPlan mplan = membership_schedule_plan();
     core::MembershipOptions mopts;
     mopts.events = derive_membership_schedule(mplan, seed, options.nodes);
-    mopts.work_stealing = mplan.work_stealing;
+    options.balance.enabled = mplan.rebalance;
     manager.emplace(std::move(mopts));
     manager->instrument(options);
   }
@@ -131,6 +133,8 @@ SweepOutcome run_sweep_config(std::uint64_t seed, bool elastic) {
   out.executed = workload.executed_hops();
   out.expected = workload.expected_hops();
   out.digest = workload.state_digest();
+  out.migrations = cluster.sum_counters(
+      [](const core::NodeCounters& c) { return c.migrations_in.load(); });
   out.invariants = harness.check(cluster);
   check_recovery(cluster, out.invariants);
   if (manager) {
@@ -196,7 +200,7 @@ TEST_P(MembershipSeedSweep, ElasticRunMatchesStaticTwinWithoutLoss) {
       << elastic.trace_text.substr(elastic.trace_text.size() > 2000
                                        ? elastic.trace_text.size() - 2000
                                        : 0);
-  // Drain/kill/rejoin and speculative stealing moved objects and work, but
+  // Drain/kill/rejoin and the balancer moved objects and work, but
   // application state is byte-identical to the static-membership twin.
   EXPECT_EQ(elastic.digest, twin.digest) << "seed " << seed;
 }
@@ -205,8 +209,8 @@ INSTANTIATE_TEST_SUITE_P(TwentySeeds, MembershipSeedSweep,
                          ::testing::Range<std::uint64_t>(1, 21));
 
 // Seed replay must stay byte-identical with the full elastic stack engaged:
-// drain pacing, crash export order, steal claim/commit windows, and the
-// epoch handoffs are all pure functions of the schedule.
+// drain pacing, crash export order, shed advice, and the epoch handoffs
+// are all pure functions of the schedule.
 TEST(MembershipReplay, ElasticRunReplaysByteIdentical) {
   const SweepOutcome a = run_sweep_config(7, /*elastic=*/true);
   const SweepOutcome b = run_sweep_config(7, /*elastic=*/true);
@@ -215,8 +219,7 @@ TEST(MembershipReplay, ElasticRunReplaysByteIdentical) {
   EXPECT_EQ(a.trace_crc, b.trace_crc);
   EXPECT_EQ(a.trace_text, b.trace_text);  // byte-identical, not just CRC
   EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.stats.steals_committed, b.stats.steals_committed);
-  EXPECT_EQ(a.stats.steals_aborted, b.stats.steals_aborted);
+  EXPECT_EQ(a.migrations, b.migrations);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Tests for the control layer's dynamic load balancing: a badly imbalanced
 // workload (every object and every message on node 0) must shed objects to
 // other nodes when balancing is on, must stay put when it is off, and the
-// results must be identical either way.
+// results must be identical either way. Under the deterministic driver a
+// balanced run must also replay byte-identically.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "chaos/chaos.hpp"
+#include "chaos/workload.hpp"
 #include "core/cluster.hpp"
 
 namespace mrts::core {
@@ -131,6 +134,95 @@ TEST(LoadBalance, AdviceIsBoundedPerRound) {
   (void)cluster.run();
   EXPECT_EQ(cluster.node(1).counters().migrations_in.load(), 3u);
   EXPECT_EQ(cluster.node(0).local_objects(), 5u);
+}
+
+TEST(LoadBalance, QueueTiesBreakTowardTheNodeHostingFewestObjects) {
+  // Node 1 and node 2 are both idle; node 1 hosts objects, node 2 none.
+  // Node 0's one busy object must be shed to node 2, not to node 1 by
+  // index. Sizes: 16 messages at 4 per turn leave 8 at the first advice
+  // (8 > 2*0 + 6 sheds) and at most 4 at the next (no second shed).
+  ClusterOptions options;
+  options.nodes = 3;
+  options.spill = SpillMedium::kMemory;
+  options.deterministic = true;
+  options.runtime.max_messages_per_turn = 4;
+  options.balance.enabled = true;
+  options.balance.slack_messages = 6;
+  options.balance.objects_per_advice = 1;
+  Cluster cluster(options);
+  const TypeId type = cluster.registry().register_type<Work>("work");
+  const HandlerId h = cluster.registry().register_handler(
+      type,
+      [](Runtime&, MobileObject& obj, MobilePtr, NodeId, util::ByteReader&) {
+        ++static_cast<Work&>(obj).done;
+      });
+  const MobilePtr busy = cluster.node(0).create<Work>(type).first;
+  for (int i = 0; i < 3; ++i) (void)cluster.node(1).create<Work>(type);
+  for (int i = 0; i < 16; ++i) {
+    cluster.node(0).send(busy, h, std::vector<std::byte>{});
+  }
+  ASSERT_FALSE(cluster.run().timed_out);
+  EXPECT_EQ(cluster.node(1).counters().migrations_in.load(), 0u);
+  EXPECT_EQ(cluster.node(2).counters().migrations_in.load(), 1u);
+  ASSERT_TRUE(cluster.node(2).is_local(busy));
+  EXPECT_EQ(static_cast<Work*>(cluster.node(2).peek(busy))->done, 16u);
+}
+
+struct DetHopRun {
+  std::uint64_t digest = 0;
+  std::uint64_t executed = 0;
+  std::uint64_t expected = 0;
+  std::uint64_t migrations = 0;
+  std::string trace_text;
+};
+
+/// The chaos hop workload (no faults, no workload-driven migration) under
+/// the deterministic driver, with the balancer on or off.
+DetHopRun run_det_hops(bool balanced) {
+  chaos::ChaosPlan plan;
+  plan.seed = 5;
+  chaos::Harness harness(plan);
+  ClusterOptions options;
+  options.nodes = 4;
+  options.spill = SpillMedium::kMemory;
+  options.max_run_time = std::chrono::seconds(60);
+  options.runtime.max_messages_per_turn = 2;
+  options.balance.enabled = balanced;
+  options.balance.slack_messages = 0;
+  harness.instrument(options);
+  Cluster cluster(options);
+  chaos::HopWorkload workload(cluster, {.objects_per_node = 4,
+                                        .payload_words = 64,
+                                        .routes = 64,
+                                        .route_length = 8,
+                                        .migrate_every = 0,
+                                        .seed = 5});
+  workload.create_objects();
+  workload.inject();
+  EXPECT_FALSE(cluster.run().timed_out);
+  EXPECT_TRUE(harness.check(cluster).ok());
+  DetHopRun out;
+  out.executed = workload.executed_hops();
+  out.expected = workload.expected_hops();
+  out.digest = workload.state_digest();
+  out.migrations = cluster.sum_counters(
+      [](const NodeCounters& c) { return c.migrations_in.load(); });
+  out.trace_text = harness.trace().text();
+  return out;
+}
+
+TEST(LoadBalance, DeterministicRunMatchesTwinAndReplays) {
+  const DetHopRun twin = run_det_hops(/*balanced=*/false);
+  const DetHopRun a = run_det_hops(/*balanced=*/true);
+  const DetHopRun b = run_det_hops(/*balanced=*/true);
+  EXPECT_EQ(twin.migrations, 0u);
+  EXPECT_GT(a.migrations, 0u) << "the balancer never shed an object";
+  EXPECT_EQ(a.executed, a.expected);
+  EXPECT_EQ(a.digest, twin.digest);
+  ASSERT_GT(a.trace_text.size(), 0u);
+  EXPECT_EQ(a.trace_text, b.trace_text);  // byte-identical replay
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.digest, b.digest);
 }
 
 }  // namespace

@@ -47,8 +47,8 @@ struct World {
   TypeId type = 0;
   HandlerId h_add = 0;
 
-  explicit World(std::size_t budget_kb = 1 << 20) {
-    options.nodes = 3;
+  explicit World(std::size_t budget_kb = 1 << 20, std::size_t nodes = 3) {
+    options.nodes = nodes;
     options.runtime.ooc.memory_budget_bytes = budget_kb << 10;
     options.spill = SpillMedium::kMemory;
     cluster = std::make_unique<Cluster>(options);
@@ -182,7 +182,7 @@ TEST_F(CheckpointTest, PendingQueuesSurviveRestore) {
 
 TEST_F(CheckpointTest, MismatchedClusterIsRejected) {
   World w;
-  auto [p, box] = w.cluster->node(0).create<Box>(w.type);
+  (void)w.cluster->node(0).create<Box>(w.type);
   ASSERT_TRUE(checkpoint_cluster(*w.cluster, dir_).is_ok());
 
   ClusterOptions other;
@@ -211,9 +211,9 @@ std::size_t total_objects(Cluster& cluster) {
 
 void make_populated_checkpoint(World& w, const std::filesystem::path& dir) {
   std::vector<MobilePtr> ptrs;
-  for (int i = 0; i < 6; ++i) {
-    auto [p, box] =
-        w.cluster->node(static_cast<NodeId>(i % 3)).create<Box>(w.type);
+  for (std::size_t i = 0; i < 6; ++i) {
+    auto [p, box] = w.cluster->node(static_cast<NodeId>(i % w.cluster->size()))
+                        .create<Box>(w.type);
     box->data.assign(500, static_cast<std::uint64_t>(i));
     ptrs.push_back(p);
   }
@@ -348,6 +348,66 @@ TEST_F(CheckpointTest, OversizedObjectCountBelowTheFileCrcIsRejected) {
   util::Status s = restore_cluster(*w2.cluster, dir_);
   EXPECT_EQ(s.code(), util::StatusCode::kCorruption);
   EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
+}
+
+/// Rewrites a sealed checkpoint file: `mutate` edits the image, then the
+/// file CRC is recomputed so only the inner validation can object.
+template <typename Fn>
+void reseal_file(const std::filesystem::path& path, Fn&& mutate) {
+  std::vector<std::byte> image;
+  {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    ASSERT_TRUE(in.good());
+    image.resize(static_cast<std::size_t>(in.tellg()));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+  }
+  ASSERT_GT(image.size(), sizeof(std::uint32_t));
+  image.resize(image.size() - sizeof(std::uint32_t));
+  mutate(image);
+  const std::uint32_t crc = util::crc32(image);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  ASSERT_TRUE(out.good());
+}
+
+TEST_F(CheckpointTest, BadSecondNodeImageInstallsNothingOnAnyNode) {
+  // Node 0's image is valid; node 1's claims one object more than it holds,
+  // under a valid file seal. Restore must fail before node 0 installs.
+  World w(1 << 20, /*nodes=*/2);
+  make_populated_checkpoint(w, dir_);
+  reseal_file(dir_ / "node1.ckpt", [](std::vector<std::byte>& image) {
+    // [next_seq:u64][object count:u64][records...]
+    ASSERT_GT(image.size(), 2 * sizeof(std::uint64_t));
+    std::uint64_t count = 0;
+    std::memcpy(&count, image.data() + sizeof(std::uint64_t), sizeof(count));
+    ASSERT_GT(count, 0u);
+    ++count;
+    std::memcpy(image.data() + sizeof(std::uint64_t), &count, sizeof(count));
+  });
+
+  World w2(1 << 20, /*nodes=*/2);
+  EXPECT_EQ(restore_cluster(*w2.cluster, dir_).code(),
+            util::StatusCode::kCorruption);
+  EXPECT_EQ(w2.cluster->node(0).local_objects(), 0u) << "partial restore";
+  EXPECT_EQ(w2.cluster->node(1).local_objects(), 0u) << "partial restore";
+}
+
+TEST_F(CheckpointTest, ObjectInTwoNodeImagesIsCorruption) {
+  // Each image is valid on its own; together they name the same objects.
+  World w(1 << 20, /*nodes=*/2);
+  make_populated_checkpoint(w, dir_);
+  std::filesystem::copy_file(dir_ / "node0.ckpt", dir_ / "node1.ckpt",
+                             std::filesystem::copy_options::overwrite_existing);
+
+  World w2(1 << 20, /*nodes=*/2);
+  EXPECT_EQ(restore_cluster(*w2.cluster, dir_).code(),
+            util::StatusCode::kCorruption);
+  EXPECT_EQ(w2.cluster->node(0).local_objects(), 0u) << "partial restore";
+  EXPECT_EQ(w2.cluster->node(1).local_objects(), 0u) << "partial restore";
 }
 
 TEST_F(CheckpointTest, UnregisteredTypeInImageIsCorruption) {

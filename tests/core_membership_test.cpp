@@ -2,13 +2,14 @@
 // empties a node exactly once and is idempotent under double-drain, a
 // migrate() naming a Down target is refused with a ledger record instead of
 // hanging, a killed node's objects are rebuilt on survivors and the node
-// rejoins empty, speculative steal commit/rollback leave application state
-// byte-equal to a no-steal twin, and the service layer repairs jobs whose
-// home node died instead of stalling.
+// rejoins empty, the cluster balancer sheds work onto a rejoined node with
+// application state equal to a static twin, and the service layer repairs
+// jobs whose home node died instead of stalling.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <numeric>
 #include <vector>
 
 #include "chaos/workload.hpp"
@@ -189,9 +190,9 @@ TEST(MembershipCrash, ObjectsAreRebuiltOnSurvivorsAndRejoinStartsEmpty) {
 }
 
 // --------------------------------------------------------------------------
-// speculative work stealing
+// rebalancing onto a joiner (cluster balancer)
 
-class StealWork : public MobileObject {
+class BalanceWork : public MobileObject {
  public:
   void serialize(util::ByteWriter& out) const override {
     out.write(done);
@@ -202,107 +203,82 @@ class StealWork : public MobileObject {
     ballast = in.read_vector<std::uint64_t>();
   }
   [[nodiscard]] std::size_t footprint_bytes() const override {
-    return sizeof(StealWork) + ballast.size() * 8;
+    return sizeof(BalanceWork) + ballast.size() * 8;
   }
 
   std::uint64_t done = 0;
   std::vector<std::uint64_t> ballast = std::vector<std::uint64_t>(256, 7);
 };
 
-struct StealWorld {
+/// 8 objects with 8 messages each, all on node 0 of a 3-node cluster: a
+/// steady imbalance the balancer must act on. With `mgr`, the balancer is
+/// on and the manager drives membership; without, it is the static,
+/// balance-off twin.
+struct BalanceWorld {
   std::unique_ptr<Cluster> cluster;
   std::vector<MobilePtr> ptrs;
-  TypeId type = 0;
-  HandlerId handler = 0;
 
-  explicit StealWorld(MembershipManager* mgr, std::size_t objects = 8,
-                      std::size_t messages_per_object = 8) {
-    ClusterOptions o = det_options(2);
-    if (mgr != nullptr) mgr->instrument(o);
+  explicit BalanceWorld(MembershipManager* mgr) {
+    ClusterOptions o = det_options(3);
+    o.runtime.max_messages_per_turn = 4;  // keep the queue standing
+    if (mgr != nullptr) {
+      o.balance.enabled = true;
+      o.balance.slack_messages = 4;
+      mgr->instrument(o);
+    }
     cluster = std::make_unique<Cluster>(o);
     if (mgr != nullptr) mgr->attach(*cluster);
-    type = cluster->registry().register_type<StealWork>("steal_work");
-    handler = cluster->registry().register_handler(
+    const TypeId type =
+        cluster->registry().register_type<BalanceWork>("balance_work");
+    const HandlerId handler = cluster->registry().register_handler(
         type, [](Runtime&, MobileObject& obj, MobilePtr, NodeId,
-                 util::ByteReader&) { ++static_cast<StealWork&>(obj).done; });
-    // Everything on node 0: a steady imbalance the monitor must act on.
-    for (std::size_t i = 0; i < objects; ++i) {
-      ptrs.push_back(cluster->node(0).create<StealWork>(type).first);
+                 util::ByteReader&) { ++static_cast<BalanceWork&>(obj).done; });
+    for (int i = 0; i < 8; ++i) {
+      ptrs.push_back(cluster->node(0).create<BalanceWork>(type).first);
     }
-    for (std::size_t round = 0; round < messages_per_object; ++round) {
+    for (int round = 0; round < 8; ++round) {
       for (MobilePtr p : ptrs) {
         cluster->node(0).send(p, handler, std::vector<std::byte>{});
       }
     }
   }
 
-  [[nodiscard]] std::uint64_t total_done() {
-    std::uint64_t total = 0;
+  /// Per-object `done` counts in object order, wherever each object lives.
+  [[nodiscard]] std::vector<std::uint64_t> done_per_object() {
+    std::vector<std::uint64_t> out;
     for (MobilePtr p : ptrs) {
       for (std::size_t n = 0; n < cluster->size(); ++n) {
         if (auto* obj = cluster->node(static_cast<NodeId>(n)).peek(p)) {
-          total += static_cast<StealWork*>(obj)->done;
+          out.push_back(static_cast<BalanceWork*>(obj)->done);
         }
       }
     }
-    return total;
+    return out;
   }
 };
 
-TEST(MembershipSteal, CommittedStealsMatchTheNoStealTwin) {
+TEST(MembershipBalance, RejoinerReceivesObjectsAndStateMatchesTwin) {
+  // Node 2 is absent from the start and rejoins empty at sweep 6, while
+  // node 0 still holds most of the queue.
   MembershipOptions mo;
-  mo.work_stealing = true;
-  mo.steal_check_interval = 2;
-  mo.steal_min_queue = 4;
+  mo.events = {{.step = 1, .kind = Kind::kKill, .node = 2},
+               {.step = 6, .kind = Kind::kRejoin, .node = 2}};
   MembershipManager mgr(mo);
-  StealWorld world(&mgr);
+  BalanceWorld world(&mgr);
   ASSERT_FALSE(world.cluster->run().timed_out);
 
-  EXPECT_GE(mgr.stats().steals_claimed, 1u);
-  EXPECT_GE(mgr.stats().steals_committed, 1u);
-  EXPECT_EQ(mgr.stats().steals_claimed,
-            mgr.stats().steals_committed + mgr.stats().steals_aborted);
-  EXPECT_EQ(mgr.pending_steals(), 0u);
-  EXPECT_EQ(world.cluster->node(0).stolen_entries(), 0u);
-  EXPECT_EQ(world.total_done(), 64u);  // every message exactly once
+  EXPECT_EQ(mgr.stats().rejoins, 1u);
+  EXPECT_GT(world.cluster->node(2).counters().migrations_in.load(), 0u)
+      << "the rejoined node received no objects";
+  const std::vector<std::uint64_t> done = world.done_per_object();
+  ASSERT_EQ(done.size(), world.ptrs.size());  // every object exactly once
+  EXPECT_EQ(std::accumulate(done.begin(), done.end(), std::uint64_t{0}),
+            64u);  // every message exactly once
 
-  StealWorld twin(nullptr);
+  BalanceWorld twin(nullptr);
   ASSERT_FALSE(twin.cluster->run().timed_out);
-  EXPECT_EQ(world.total_done(), twin.total_done());
-}
-
-TEST(MembershipSteal, ConflictingMutationRollsTheClaimBack) {
-  StealWorld world(nullptr, /*objects=*/1, /*messages_per_object=*/4);
-  Runtime& victim = world.cluster->node(0);
-  const MobilePtr p = world.ptrs[0];
-
-  std::vector<std::byte> frame;
-  ASSERT_TRUE(victim.steal_claim(p, frame));
-  EXPECT_EQ(victim.stolen_entries(), 1u);
-  // An arrival inside the speculation window is a conflicting mutation: the
-  // claim must roll back from the checkpoint frame, keeping the message.
-  victim.send(p, world.handler, std::vector<std::byte>{});
-  EXPECT_FALSE(victim.steal_resolve(p, 1, std::move(frame)));
-  EXPECT_EQ(victim.stolen_entries(), 0u);
-
-  ASSERT_FALSE(world.cluster->run().timed_out);
-  EXPECT_TRUE(victim.hosts(p));
-  EXPECT_EQ(world.total_done(), 5u);  // 4 queued + 1 conflicting, no loss
-}
-
-TEST(MembershipSteal, CleanClaimCommitsToTheThief) {
-  StealWorld world(nullptr, /*objects=*/1, /*messages_per_object=*/4);
-  Runtime& victim = world.cluster->node(0);
-  const MobilePtr p = world.ptrs[0];
-
-  std::vector<std::byte> frame;
-  ASSERT_TRUE(victim.steal_claim(p, frame));
-  EXPECT_TRUE(victim.steal_resolve(p, 1, std::move(frame)));
-  ASSERT_FALSE(world.cluster->run().timed_out);
-
-  EXPECT_FALSE(victim.hosts(p));
-  EXPECT_TRUE(world.cluster->node(1).hosts(p));
-  EXPECT_EQ(world.total_done(), 4u);  // queued work executed at the thief
+  EXPECT_EQ(twin.cluster->node(0).local_objects(), twin.ptrs.size());
+  EXPECT_EQ(done, twin.done_per_object());
 }
 
 // --------------------------------------------------------------------------
