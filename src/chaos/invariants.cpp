@@ -138,7 +138,7 @@ void check_directory_convergence(core::Cluster& cluster,
   std::unordered_map<std::uint64_t, std::string> entry_dump;
   for (std::size_t i = 0; i < n; ++i) {
     const auto node = static_cast<net::NodeId>(i);
-    cluster.node(node).for_each_directory_entry_ex(
+    cluster.node(node).for_each_directory_entry(
         [&](core::MobilePtr ptr, bool is_local, net::NodeId last_known,
             std::uint64_t epoch) {
           if (is_local) {

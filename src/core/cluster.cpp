@@ -133,10 +133,9 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
   if (options_.deterministic) {
     // A modeled link gives messages wall-clock deliverability times, which
     // the virtual-time driver cannot reproduce; storage must complete
-    // inline and handlers must not race pool workers.
+    // inline.
     options_.link = net::LinkModel{};
     options_.runtime.synchronous_storage = true;
-    options_.runtime.pool_workers = 1;
   }
   fabric_ = std::make_unique<net::Fabric>(options_.nodes, options_.link);
   if (options_.net_faults.has_value() || options_.fabric_observer != nullptr) {

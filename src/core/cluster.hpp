@@ -139,10 +139,6 @@ class Cluster {
   [[nodiscard]] std::size_t size() const { return runtimes_.size(); }
   [[nodiscard]] Runtime& node(NodeId id) { return *runtimes_.at(id); }
   [[nodiscard]] net::Fabric& fabric() { return *fabric_; }
-  /// Non-null when the cluster spills to remote memory.
-  [[nodiscard]] storage::RemoteMemoryPool* remote_memory_pool() {
-    return remote_pool_.get();
-  }
 
   /// Installs a membership view consulted by the load-balance monitor so
   /// shed advice never targets (or victimizes) a draining/down node. The

@@ -232,7 +232,7 @@ void MembershipManager::complete_drain(NodeId node, std::uint64_t step) {
   // node keeps its own directory — in-flight routes that still name it are
   // re-aimed by reroute_if_departed, and home-routed chases converge.
   std::vector<std::tuple<MobilePtr, NodeId, std::uint64_t>> entries;
-  rt.for_each_directory_entry_ex(
+  rt.for_each_directory_entry(
       [&](MobilePtr p, bool local, NodeId last, std::uint64_t epoch) {
         if (!local) entries.emplace_back(p, last, epoch);
       });
@@ -314,7 +314,7 @@ void MembershipManager::do_rejoin(NodeId node) {
   std::vector<std::tuple<MobilePtr, NodeId, std::uint64_t>> seeds;
   for (NodeId s = 0; s < static_cast<NodeId>(nodes_.size()); ++s) {
     if (s == node || nodes_[s].state == MembershipState::kDown) continue;
-    cluster_->node(s).for_each_directory_entry_ex(
+    cluster_->node(s).for_each_directory_entry(
         [&](MobilePtr p, bool local, NodeId last, std::uint64_t epoch) {
           const NodeId where = local ? s : last;
           if (where == node) return;

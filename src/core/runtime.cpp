@@ -47,9 +47,7 @@ Runtime::Runtime(NodeId node, net::Endpoint& endpoint,
              storage::ObjectStoreOptions{
                  .retry = options.storage_retry,
                  .synchronous = options.synchronous_storage,
-                 .trace_track = node}),
-      pool_(tasking::make_pool(tasking::PoolBackend::kWorkStealing,
-                               options.pool_workers)) {
+                 .trace_track = node}) {
   endpoint_.set_comm_accumulator(&counters_.comm_time);
   obs::MetricsRegistry::global()
       .gauge(util::format("ooc.budget_bytes.node{}", node))
@@ -60,23 +58,23 @@ Runtime::Runtime(NodeId node, net::Endpoint& endpoint,
 Runtime::~Runtime() { store_.drain(); }
 
 void Runtime::register_am_handlers() {
-  am_deliver_id_ = endpoint_.register_handler(
-      [this](NodeId src, util::ByteReader& in) { am_deliver(src, in); });
-  am_location_update_id_ = endpoint_.register_handler(
-      [this](NodeId src, util::ByteReader& in) { am_location_update(src, in); });
-  am_install_id_ = endpoint_.register_handler(
-      [this](NodeId src, util::ByteReader& in) { am_install(src, in); });
-  am_migrate_request_id_ = endpoint_.register_handler(
-      [this](NodeId src, util::ByteReader& in) { am_migrate_request(src, in); });
-  am_multicast_id_ = endpoint_.register_handler(
-      [this](NodeId src, util::ByteReader& in) { am_multicast(src, in); });
   // Fault plans address channels by the named constants; the registration
-  // order above is part of the wire contract.
-  assert(am_deliver_id_ == kAmDeliver);
-  assert(am_location_update_id_ == kAmLocationUpdate);
-  assert(am_install_id_ == kAmInstall);
-  assert(am_migrate_request_id_ == kAmMigrateRequest);
-  assert(am_multicast_id_ == kAmMulticast);
+  // order below is part of the wire contract.
+  [[maybe_unused]] net::AmHandlerId id = endpoint_.register_handler(
+      [this](NodeId src, util::ByteReader& in) { am_deliver(src, in); });
+  assert(id == kAmDeliver);
+  id = endpoint_.register_handler(
+      [this](NodeId src, util::ByteReader& in) { am_location_update(src, in); });
+  assert(id == kAmLocationUpdate);
+  id = endpoint_.register_handler(
+      [this](NodeId src, util::ByteReader& in) { am_install(src, in); });
+  assert(id == kAmInstall);
+  id = endpoint_.register_handler(
+      [this](NodeId src, util::ByteReader& in) { am_migrate_request(src, in); });
+  assert(id == kAmMigrateRequest);
+  id = endpoint_.register_handler(
+      [this](NodeId src, util::ByteReader& in) { am_multicast(src, in); });
+  assert(id == kAmMulticast);
   if (options_.reliable_net.enabled) {
     reliable_ = std::make_unique<net::ReliableLink>(
         endpoint_, options_.reliable_net,
@@ -103,15 +101,6 @@ void Runtime::register_am_handlers() {
           });
         });
   }
-}
-
-void Runtime::net_send(NodeId dst, net::AmHandlerId channel,
-                       std::vector<std::byte> payload) {
-  if (reliable_ != nullptr) {
-    reliable_->send(dst, channel, std::move(payload));
-    return;
-  }
-  endpoint_.send(dst, channel, std::move(payload));
 }
 
 void Runtime::dispatch_reliable(NodeId src, net::AmHandlerId channel,
@@ -239,7 +228,7 @@ void Runtime::route_remote(MobilePtr dst, HandlerId handler, NodeId origin,
       (e != nullptr && e->state == Residency::kRemote) ? e->last_known
                                                        : dst.home_node(),
       dst);
-  net_send_with(next, am_deliver_id_, payload.size() + 64,
+  net_send_with(next, kAmDeliver, payload.size() + 64,
                 [&](util::ByteWriter& w) {
                   w.write(dst.id);
                   w.write(handler);
@@ -276,7 +265,7 @@ void Runtime::am_deliver(NodeId /*src*/, util::ByteReader& in) {
       // (crash) or rot forever (departed). The membership handoff seeds
       // them with fresher knowledge when they matter again.
       if (n == node_ || !peer_up(n)) continue;
-      net_send_with(n, am_location_update_id_, 24, [&](util::ByteWriter& w) {
+      net_send_with(n, kAmLocationUpdate, 24, [&](util::ByteWriter& w) {
         w.write(dst.id);
         w.write(node_);
         w.write<std::uint64_t>(e->epoch);
@@ -367,18 +356,7 @@ bool Runtime::try_deliver_inline(MobilePtr dst, HandlerId handler,
     return false;
   }
   counters_.inline_deliveries.fetch_add(1, std::memory_order_relaxed);
-  ooc_.on_access(dst.id);
-  e->running = true;
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "handler.inline",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    util::ByteReader reader(payload);
-    registry_.handler(e->type, handler)(*this, *e->obj, dst, node_, reader);
-  }
-  e->running = false;
-  counters_.messages_executed.fetch_add(1, std::memory_order_relaxed);
-  if (!registry_.handler_read_only(e->type, handler)) e->obj->mark_dirty();
+  run_handler(dst, *e, handler, node_, payload, "handler.inline");
   after_handler_accounting(dst, *e);
   return true;
 }
@@ -405,12 +383,6 @@ void Runtime::unlock(MobilePtr ptr) {
 void Runtime::set_priority(MobilePtr ptr, int priority) {
   Entry& e = entry_of(ptr);
   e.priority = std::clamp(priority, kMinPriority, kMaxPriority);
-}
-
-void Runtime::prefetch(MobilePtr ptr) {
-  Entry* e = find_entry(ptr);
-  if (e == nullptr || e->state == Residency::kRemote || e->poisoned) return;
-  if (want_load(*e, ptr)) bump_activity();
 }
 
 void Runtime::refresh_footprint(MobilePtr ptr) {
@@ -598,7 +570,7 @@ void Runtime::do_migrate(MobilePtr ptr, Entry& e, NodeId dst) {
   assert(e.state == Residency::kInCore && !e.running && e.lock_count == 0);
   // Serializes synchronously into the outgoing frame (the reliable link's
   // open batch, or the raw wire vector) before the entry mutations below.
-  net_send_with(dst, am_install_id_, e.footprint + 256,
+  net_send_with(dst, kAmInstall, e.footprint + 256,
                 [&](util::ByteWriter& w) { write_install_frame(w, ptr, e); });
   e.obj.reset();
   ooc_.on_remove(ptr.id);
@@ -645,23 +617,25 @@ void Runtime::am_migrate_request(NodeId /*src*/, util::ByteReader& in) {
       return;
     }
     // Chase via the home node.
-    net_send_with(reroute_if_departed(ptr.home_node(), ptr),
-                  am_migrate_request_id_, 16, [&](util::ByteWriter& w) {
-                    w.write(ptr.id);
-                    w.write(requester);
-                  });
+    send_migrate_request(reroute_if_departed(ptr.home_node(), ptr), ptr,
+                         requester);
     return;
   }
   if (e->state == Residency::kRemote) {
-    net_send_with(reroute_if_departed(e->last_known, ptr),
-                  am_migrate_request_id_, 16, [&](util::ByteWriter& w) {
-                    w.write(ptr.id);
-                    w.write(requester);
-                  });
+    send_migrate_request(reroute_if_departed(e->last_known, ptr), ptr,
+                         requester);
     return;
   }
   if (requester == node_) return;  // it came home in the meantime
   migrate(ptr, requester);
+}
+
+void Runtime::send_migrate_request(NodeId next, MobilePtr ptr,
+                                   NodeId requester) {
+  net_send_with(next, kAmMigrateRequest, 16, [&](util::ByteWriter& w) {
+    w.write(ptr.id);
+    w.write(requester);
+  });
 }
 
 bool Runtime::advance_pending_migrations() {
@@ -683,13 +657,7 @@ bool Runtime::advance_pending_migrations() {
     if (e->state == Residency::kRemote) {
       // Should not normally happen (the pending pin prevents a concurrent
       // move), but chase it for robustness.
-      if (e->last_known != dst) {
-        net_send_with(e->last_known, am_migrate_request_id_, 16,
-                      [&](util::ByteWriter& w) {
-                        w.write(ptr.id);
-                        w.write(dst);
-                      });
-      }
+      if (e->last_known != dst) send_migrate_request(e->last_known, ptr, dst);
       did = true;
       continue;
     }
@@ -711,39 +679,10 @@ bool Runtime::advance_pending_migrations() {
 void Runtime::send_multicast(std::vector<MobilePtr> targets,
                              std::uint32_t deliver_count, HandlerId handler,
                              std::vector<std::byte> payload) {
-  if (targets.empty()) return;
   deliver_count = std::min<std::uint32_t>(
       deliver_count, static_cast<std::uint32_t>(targets.size()));
-  Entry* head = find_entry(targets[0]);
-  if (head != nullptr && head->state != Residency::kRemote) {
-    multicasts_.push_back(MulticastOp{
-        .id = next_multicast_id_++,
-        .targets = std::move(targets),
-        .deliver_count = deliver_count,
-        .handler = handler,
-        .payload = std::move(payload),
-        .origin_src = node_,
-        .requested = {},
-        .start_ts = obs::TraceRecorder::global().now(),
-    });
-    bump_activity();
-    return;
-  }
-  // Route the whole request to the owner of the first target.
-  const NodeId next = reroute_if_departed(
-      (head != nullptr && head->state == Residency::kRemote)
-          ? head->last_known
-          : targets[0].home_node(),
-      targets[0]);
-  net_send_with(next, am_multicast_id_, payload.size() + 32 * targets.size(),
-                [&](util::ByteWriter& w) {
-                  w.write<std::uint64_t>(targets.size());
-                  for (MobilePtr t : targets) w.write(t.id);
-                  w.write(deliver_count);
-                  w.write(handler);
-                  w.write(node_);
-                  w.write_vector(payload);
-                });
+  route_multicast(std::move(targets), deliver_count, handler, node_,
+                  std::move(payload));
 }
 
 void Runtime::am_multicast(NodeId /*src*/, util::ByteReader& in) {
@@ -752,37 +691,41 @@ void Runtime::am_multicast(NodeId /*src*/, util::ByteReader& in) {
   const auto deliver_count = in.read<std::uint32_t>();
   const auto handler = in.read<HandlerId>();
   const auto origin = in.read<NodeId>();
-  auto payload = in.read_vector<std::byte>();
+  route_multicast(std::move(targets), deliver_count, handler, origin,
+                  in.read_vector<std::byte>());
+}
 
-  Entry* head = targets.empty() ? nullptr : find_entry(targets[0]);
-  if (head == nullptr || head->state == Residency::kRemote) {
-    // Keep chasing the first target.
-    const NodeId next = reroute_if_departed(
-        (head != nullptr) ? head->last_known : targets[0].home_node(),
-        targets[0]);
-    net_send_with(next, am_multicast_id_,
-                  payload.size() + 32 * targets.size(),
-                  [&](util::ByteWriter& w) {
-                    w.write<std::uint64_t>(targets.size());
-                    for (MobilePtr t : targets) w.write(t.id);
-                    w.write(deliver_count);
-                    w.write(handler);
-                    w.write(origin);
-                    w.write_vector(payload);
-                  });
+void Runtime::route_multicast(std::vector<MobilePtr> targets,
+                              std::uint32_t deliver_count, HandlerId handler,
+                              NodeId origin, std::vector<std::byte> payload) {
+  if (targets.empty()) return;
+  Entry* head = find_entry(targets[0]);
+  if (head != nullptr && head->state != Residency::kRemote) {
+    multicasts_.push_back(MulticastOp{
+        .id = next_multicast_id_++,
+        .targets = std::move(targets),
+        .deliver_count = deliver_count,
+        .handler = handler,
+        .payload = std::move(payload),
+        .origin_src = origin,
+        .requested = {},
+        .start_ts = obs::TraceRecorder::global().now(),
+    });
+    bump_activity();
     return;
   }
-  multicasts_.push_back(MulticastOp{
-      .id = next_multicast_id_++,
-      .targets = std::move(targets),
-      .deliver_count = deliver_count,
-      .handler = handler,
-      .payload = std::move(payload),
-      .origin_src = origin,
-      .requested = {},
-      .start_ts = obs::TraceRecorder::global().now(),
-  });
-  bump_activity();
+  // Chase the owner of the first target with the request unchanged.
+  const NodeId next = reroute_if_departed(
+      head != nullptr ? head->last_known : targets[0].home_node(), targets[0]);
+  net_send_with(next, kAmMulticast, payload.size() + 32 * targets.size(),
+                [&](util::ByteWriter& w) {
+                  w.write<std::uint64_t>(targets.size());
+                  for (MobilePtr t : targets) w.write(t.id);
+                  w.write(deliver_count);
+                  w.write(handler);
+                  w.write(origin);
+                  w.write_vector(payload);
+                });
 }
 
 bool Runtime::advance_multicasts() {
@@ -811,13 +754,10 @@ bool Runtime::advance_multicasts() {
         all_ready = false;
         if (!op.requested[t]) {
           op.requested[t] = true;
-          const NodeId next = reroute_if_departed(
-              (e != nullptr) ? e->last_known : ptr.home_node(), ptr);
-          net_send_with(next, am_migrate_request_id_, 16,
-                        [&](util::ByteWriter& w) {
-                          w.write(ptr.id);
-                          w.write(node_);
-                        });
+          send_migrate_request(
+              reroute_if_departed(
+                  (e != nullptr) ? e->last_known : ptr.home_node(), ptr),
+              ptr, node_);
           did = true;
         }
         continue;
@@ -834,56 +774,38 @@ bool Runtime::advance_multicasts() {
         all_ready = false;  // reserved by an earlier op; wait for release
       }
     }
-    if (dropped) {
-      for (MobilePtr ptr : op.targets) {
-        if (Entry* e = find_entry(ptr);
-            e != nullptr && e->collect_for == op.id) {
-          e->collect_for = 0;
-        }
-      }
-      multicasts_.erase(multicasts_.begin() + static_cast<std::ptrdiff_t>(i));
-      did = true;
-      continue;
-    }
-    if (!all_ready) {
+    if (!all_ready && !dropped) {
       ++i;
       continue;
     }
-    // Every target is local, in-core, and reserved for this op: deliver.
-    {
-      // Collect latency: local collection start to all-targets-ready, as
-      // observed by the delivering (coordinator) node.
+    // Taken out of multicasts_ first: a handler may issue a multicast of
+    // its own, which can reallocate the vector under `op`.
+    const MulticastOp done = std::move(op);
+    multicasts_.erase(multicasts_.begin() + static_cast<std::ptrdiff_t>(i));
+    if (!dropped) {
+      // Every target is local, in-core, and reserved for this op. Collect
+      // latency: local collection start to all-targets-ready, as observed
+      // by the delivering (coordinator) node.
       obs::TraceRecorder& tr = obs::TraceRecorder::global();
       if (tr.enabled()) {
         const std::uint64_t now = tr.now();
         tr.complete(obs::Cat::kComm, "multicast.collect",
-                    static_cast<std::uint16_t>(node_), op.start_ts,
-                    now - std::min(op.start_ts, now), op.targets.size());
+                    static_cast<std::uint16_t>(node_), done.start_ts,
+                    now - std::min(done.start_ts, now), done.targets.size());
+      }
+      for (std::uint32_t t = 0; t < done.deliver_count; ++t) {
+        Entry& e = entry_of(done.targets[t]);
+        run_handler(done.targets[t], e, done.handler, done.origin_src,
+                    done.payload, "handler.multicast");
+        after_handler_accounting(done.targets[t], e);
       }
     }
-    for (std::uint32_t t = 0; t < op.deliver_count; ++t) {
-      Entry& e = entry_of(op.targets[t]);
-      ooc_.on_access(op.targets[t].id);
-      e.running = true;
-      {
-        obs::ChargedSpan span(obs::Cat::kComp, "handler.multicast",
-                              static_cast<std::uint16_t>(node_),
-                              &counters_.comp_time);
-        util::ByteReader reader(op.payload);
-        registry_.handler(e.type, op.handler)(*this, *e.obj, op.targets[t],
-                                              op.origin_src, reader);
-      }
-      e.running = false;
-      counters_.messages_executed.fetch_add(1, std::memory_order_relaxed);
-      if (!registry_.handler_read_only(e.type, op.handler)) e.obj->mark_dirty();
-      after_handler_accounting(op.targets[t], e);
-    }
-    for (MobilePtr ptr : op.targets) {
-      if (Entry* e = find_entry(ptr); e != nullptr && e->collect_for == op.id) {
+    for (MobilePtr ptr : done.targets) {
+      if (Entry* e = find_entry(ptr);
+          e != nullptr && e->collect_for == done.id) {
         e->collect_for = 0;
       }
     }
-    multicasts_.erase(multicasts_.begin() + static_cast<std::ptrdiff_t>(i));
     did = true;
   }
   return did;
@@ -1344,8 +1266,6 @@ void Runtime::sample_observability() {
   if (!tr.enabled()) return;
   const auto track = static_cast<std::uint16_t>(node_);
   tr.counter("ooc.in_core", track, ooc_.in_core_bytes());
-  tr.counter("pool.queued", track, pool_->queued_tasks());
-  tr.counter("pool.steals", track, pool_->steals());
 }
 
 bool Runtime::run_ready_object() {
@@ -1365,7 +1285,16 @@ bool Runtime::run_ready_object() {
       QueuedMessage msg = std::move(e->queue.front());
       e->queue.pop_front();
       sub_queued(1);
-      execute_message(ptr, *e, msg);
+      obs::TraceRecorder& tr = obs::TraceRecorder::global();
+      if (tr.enabled() && msg.enq_ts != 0) {
+        // Enqueue-to-delivery wait as an async span; value carries the
+        // number of directory forwarding hops the message took to get here.
+        const std::uint64_t now = tr.now();
+        tr.complete(obs::Cat::kOther, "queue.wait",
+                    static_cast<std::uint16_t>(node_), msg.enq_ts,
+                    now - std::min(msg.enq_ts, now), msg.hops);
+      }
+      run_handler(ptr, *e, msg.handler, msg.src, msg.payload, "handler");
       e = find_entry(ptr);  // handler may destroy others; self must persist
       assert(e != nullptr);
     }
@@ -1380,28 +1309,21 @@ bool Runtime::run_ready_object() {
   return false;
 }
 
-void Runtime::execute_message(MobilePtr ptr, Entry& e, QueuedMessage& msg) {
+void Runtime::run_handler(MobilePtr ptr, Entry& e, HandlerId handler,
+                          NodeId src, std::span<const std::byte> payload,
+                          const char* span_name) {
   ooc_.on_access(ptr.id);
-  obs::TraceRecorder& tr = obs::TraceRecorder::global();
-  if (tr.enabled() && msg.enq_ts != 0) {
-    // Enqueue-to-delivery wait as an async span; value carries the number of
-    // directory forwarding hops the message took before arriving here.
-    const std::uint64_t now = tr.now();
-    tr.complete(obs::Cat::kOther, "queue.wait",
-                static_cast<std::uint16_t>(node_), msg.enq_ts,
-                now - std::min(msg.enq_ts, now), msg.hops);
-  }
   e.running = true;
   {
-    obs::ChargedSpan span(obs::Cat::kComp, "handler",
+    obs::ChargedSpan span(obs::Cat::kComp, span_name,
                           static_cast<std::uint16_t>(node_),
                           &counters_.comp_time);
-    util::ByteReader reader(msg.payload);
-    registry_.handler(e.type, msg.handler)(*this, *e.obj, ptr, msg.src, reader);
+    util::ByteReader reader(payload);
+    registry_.handler(e.type, handler)(*this, *e.obj, ptr, src, reader);
   }
   e.running = false;
   counters_.messages_executed.fetch_add(1, std::memory_order_relaxed);
-  if (!registry_.handler_read_only(e.type, msg.handler)) e.obj->mark_dirty();
+  if (!registry_.handler_read_only(e.type, handler)) e.obj->mark_dirty();
 }
 
 void Runtime::advise_shed(std::uint32_t count, NodeId target) {

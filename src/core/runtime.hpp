@@ -10,12 +10,13 @@
 // Threading contract: the entire public API below except the counters is
 // control-thread-only — it must be called either from the thread driving
 // progress_once()/Cluster::run() for this node, or from inside a message
-// handler (which runs on that same thread). Tasks spawned inside a handler
-// via pool() may only compute; they must not call Runtime methods.
+// handler (which runs on that same thread).
 
+#include <atomic>
 #include <cassert>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -29,7 +30,6 @@
 #include "simnet/reliable.hpp"
 #include "storage/object_store.hpp"
 #include "storage/retry_policy.hpp"
-#include "tasking/task_pool.hpp"
 
 namespace mrts::obs {
 class Counter;
@@ -62,8 +62,6 @@ class MembershipView {
 
 struct RuntimeOptions {
   OocOptions ooc;
-  /// Workers for intra-handler task parallelism (the computing layer).
-  std::size_t pool_workers = 1;
   /// Messages processed from one object's queue before the control layer
   /// considers switching to another object.
   std::size_t max_messages_per_turn = 64;
@@ -217,8 +215,6 @@ class Runtime {
   void lock_in_core(MobilePtr ptr);
   void unlock(MobilePtr ptr);
   void set_priority(MobilePtr ptr, int priority);
-  /// Hints the runtime to load an out-of-core object ahead of demand.
-  void prefetch(MobilePtr ptr);
 
   /// Re-reads the object's footprint and relieves memory pressure. Handlers
   /// get this automatically after they return; call it manually after
@@ -285,7 +281,6 @@ class Runtime {
   [[nodiscard]] NodeId node() const { return node_; }
   [[nodiscard]] NodeCounters& counters() { return counters_; }
   [[nodiscard]] const NodeCounters& counters() const { return counters_; }
-  [[nodiscard]] tasking::TaskPool& pool() { return *pool_; }
   [[nodiscard]] const ObjectTypeRegistry& registry() const { return registry_; }
   [[nodiscard]] std::size_t in_core_bytes() const { return ooc_.in_core_bytes(); }
   [[nodiscard]] std::size_t resident_objects() const {
@@ -326,12 +321,6 @@ class Runtime {
   /// Transient storage retries performed by this node's storage layer.
   [[nodiscard]] std::uint64_t storage_retries() const {
     return store_.retries_performed();
-  }
-
-  /// Backoff accumulated by the retry policy, in microseconds (virtual time
-  /// only under the deterministic driver — nothing slept).
-  [[nodiscard]] std::uint64_t storage_backoff_us() const {
-    return store_.backoff_microseconds();
   }
 
   /// Drains outstanding spills (used by tests and at phase boundaries).
@@ -416,16 +405,6 @@ class Runtime {
   /// True when no fabric frames are parked in this node's inbox.
   [[nodiscard]] bool inbox_empty() const { return endpoint_.inbox_empty(); }
 
-  /// for_each_directory_entry plus the entry's epoch — the membership
-  /// handoff/rebuild scans need the version to seed strictly-fresher
-  /// updates.
-  template <typename Fn>
-  void for_each_directory_entry_ex(Fn&& fn) const {
-    for (const auto& [ptr, e] : directory_) {
-      fn(ptr, e.state != Residency::kRemote, e.last_known, e.epoch);
-    }
-  }
-
   /// Invokes fn(ptr) for every object hosted on this node.
   template <typename Fn>
   void for_each_local_object(Fn&& fn) const {
@@ -434,14 +413,15 @@ class Runtime {
     }
   }
 
-  /// Invokes fn(ptr, is_local, last_known) for every directory entry,
-  /// including cached remote locations. `last_known` is meaningful only
-  /// when is_local is false. Used by the chaos harness's directory
-  /// convergence checker.
+  /// Invokes fn(ptr, is_local, last_known, epoch) for every directory
+  /// entry, including cached remote locations. `last_known` is meaningful
+  /// only when is_local is false; `epoch` versions it (see Entry::epoch), so
+  /// the membership handoff/rebuild scans can seed strictly-fresher updates.
+  /// Also used by the chaos harness's directory convergence checker.
   template <typename Fn>
   void for_each_directory_entry(Fn&& fn) const {
     for (const auto& [ptr, e] : directory_) {
-      fn(ptr, e.state != Residency::kRemote, e.last_known);
+      fn(ptr, e.state != Residency::kRemote, e.last_known, e.epoch);
     }
   }
 
@@ -492,7 +472,7 @@ class Runtime {
     int lock_count = 0;
     bool running = false;
     bool in_ready_list = false;
-    bool load_wanted = false;   // queued work, a lock or a prefetch needs it
+    bool load_wanted = false;   // wanted in core (see want_load)
     bool load_queued = false;   // present in load_queue_
     bool poisoned = false;      // recovery ladder exhausted; state lost
     std::size_t footprint = 0;
@@ -565,13 +545,10 @@ class Runtime {
   void register_am_handlers();
   /// Routes every outgoing AM: through the ReliableLink when reliable_net is
   /// enabled, straight onto the fabric otherwise. `channel` is one of the
-  /// five kAm* runtime channels.
-  void net_send(NodeId dst, net::AmHandlerId channel,
-                std::vector<std::byte> payload);
-  /// Zero-copy variant of net_send: `fn(ByteWriter&)` serializes the AM
+  /// five kAm* runtime channels. `fn(ByteWriter&)` serializes the AM
   /// directly into the reliable link's open batch frame (or, on the raw
   /// path, into the vector the fabric takes ownership of) — no intermediate
-  /// per-message staging buffer. All five kAm* channels route through here.
+  /// per-message staging buffer.
   template <typename Fn>
   void net_send_with(NodeId dst, net::AmHandlerId channel,
                      std::size_t size_hint, Fn&& fn) {
@@ -595,18 +572,33 @@ class Runtime {
 
   void route_remote(MobilePtr dst, HandlerId handler, NodeId origin,
                     std::vector<NodeId> route, std::vector<std::byte> payload);
+  /// The one multicast route: starts collecting `targets` here when this
+  /// node hosts targets[0], else forwards the request unchanged toward the
+  /// owner of targets[0]. `origin` is the node that issued the multicast.
+  void route_multicast(std::vector<MobilePtr> targets,
+                       std::uint32_t deliver_count, HandlerId handler,
+                       NodeId origin, std::vector<std::byte> payload);
+  /// Asks the node `next` (the host of `ptr`, or a hop toward it) to
+  /// migrate `ptr` to `requester`: the [id:u64][requester:NodeId] frame.
+  void send_migrate_request(NodeId next, MobilePtr ptr, NodeId requester);
 
   // control loop helpers ------------------------------------------------------
   void enqueue_local(Entry& e, MobilePtr ptr, QueuedMessage msg);
-  /// `e` is needed in core (queued work, a lock, a prefetch, a migration or
-  /// a multicast collection). An on-disk object is queued for
+  /// `e` is needed in core (queued work, a lock, a migration or a multicast
+  /// collection). An on-disk object is queued for
   /// schedule_loads, which reads it back; so is a spilling one when its
   /// store may still be queued, so that schedule_loads can reclaim it.
   /// Returns true when `e` was newly queued.
   bool want_load(Entry& e, MobilePtr ptr);
   void push_ready(Entry& e, MobilePtr ptr);
   bool run_ready_object();
-  void execute_message(MobilePtr ptr, Entry& e, QueuedMessage& msg);
+  /// The one handler call of every delivery path (queued, inline,
+  /// multicast): runs `handler` on `e`'s in-core object, charged to comp as
+  /// the `span_name` span, counts it in messages_executed, and marks the
+  /// object dirty unless the handler is registered read-only. Footprint
+  /// accounting (after_handler_accounting) stays with the caller.
+  void run_handler(MobilePtr ptr, Entry& e, HandlerId handler, NodeId src,
+                   std::span<const std::byte> payload, const char* span_name);
   bool drain_completions();
   /// Installs `e`'s object from the verified payload of a loaded blob of
   /// `blob_bytes` bytes.
@@ -648,7 +640,6 @@ class Runtime {
   void poison_object(MobilePtr ptr, Entry& e, FailureOp op,
                      const util::Status& cause);
   bool schedule_loads();
-  bool relieve_pressure();
   void start_load(Entry& e, MobilePtr ptr);
   bool spill_one_victim(bool allow_relaxed = true);
   void spill(MobilePtr ptr, Entry& e);
@@ -750,7 +741,6 @@ class Runtime {
   obs::Counter* ooc_reclaimed_bytes_;
   OocLayer ooc_;
   storage::ObjectStore store_;
-  std::unique_ptr<tasking::TaskPool> pool_;
 
   std::unordered_map<MobilePtr, Entry> directory_;
   std::deque<MobilePtr> ready_;
@@ -785,11 +775,6 @@ class Runtime {
   std::atomic<std::uint32_t> shed_count_{0};
   std::atomic<NodeId> shed_target_{0};
 
-  net::AmHandlerId am_deliver_id_ = 0;
-  net::AmHandlerId am_location_update_id_ = 0;
-  net::AmHandlerId am_install_id_ = 0;
-  net::AmHandlerId am_migrate_request_id_ = 0;
-  net::AmHandlerId am_multicast_id_ = 0;
   /// Present iff options_.reliable_net.enabled; constructed after the five
   /// runtime handlers so its DATA/ACK ids land on kAmReliableData/Ack.
   std::unique_ptr<net::ReliableLink> reliable_;

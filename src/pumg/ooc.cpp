@@ -148,39 +148,25 @@ class OocApp {
     result.mesh.rounds = rounds;
     result.mesh.boundary_splits_exchanged = splits;
     result.mesh.wall_seconds = report.total_seconds;
-    result.objects_spilled = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.objects_spilled.load(); });
-    result.objects_loaded = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.objects_loaded.load(); });
-    result.bytes_spilled = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.bytes_spilled.load(); });
-    result.bytes_loaded = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.bytes_loaded.load(); });
-    result.spills_elided = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.spills_elided.load(); });
-    result.bytes_spill_elided =
-        cluster_.sum_counters([](const core::NodeCounters& c) {
-          return c.bytes_spill_elided.load();
-        });
+    const auto total = [this](auto field) {
+      return cluster_.sum_counters(
+          [field](const core::NodeCounters& c) { return (c.*field).load(); });
+    };
+    using C = core::NodeCounters;
+    result.objects_spilled = total(&C::objects_spilled);
+    result.objects_loaded = total(&C::objects_loaded);
+    result.bytes_spilled = total(&C::bytes_spilled);
+    result.bytes_loaded = total(&C::bytes_loaded);
+    result.spills_elided = total(&C::spills_elided);
+    result.bytes_spill_elided = total(&C::bytes_spill_elided);
     result.reclaims = reclaims_now() - reclaims_before_;
-    result.messages_executed = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.messages_executed.load(); });
-    result.inline_deliveries = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.inline_deliveries.load(); });
-    result.migrations = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.migrations_in.load(); });
-    result.loads_recovered = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.loads_recovered.load(); });
-    result.checkpoint_recoveries =
-        cluster_.sum_counters([](const core::NodeCounters& c) {
-          return c.checkpoint_recoveries.load();
-        });
-    result.spills_reinstalled =
-        cluster_.sum_counters([](const core::NodeCounters& c) {
-          return c.spills_reinstalled.load();
-        });
-    result.objects_poisoned = cluster_.sum_counters(
-        [](const core::NodeCounters& c) { return c.objects_poisoned.load(); });
+    result.messages_executed = total(&C::messages_executed);
+    result.inline_deliveries = total(&C::inline_deliveries);
+    result.migrations = total(&C::migrations_in);
+    result.loads_recovered = total(&C::loads_recovered);
+    result.checkpoint_recoveries = total(&C::checkpoint_recoveries);
+    result.spills_reinstalled = total(&C::spills_reinstalled);
+    result.objects_poisoned = total(&C::objects_poisoned);
     for (std::size_t n = 0; n < cluster_.size(); ++n) {
       result.storage_retries +=
           cluster_.node(static_cast<core::NodeId>(n)).storage_retries();

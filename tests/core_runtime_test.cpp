@@ -1,7 +1,11 @@
 // Single-node tests of the MRTS runtime: object lifetime, message delivery,
-// out-of-core spilling/reloading, locking, priorities, inline delivery.
+// out-of-core spilling/reloading, locking, priorities, inline delivery, and
+// the one handler step shared by the queued, inline and multicast paths.
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <iterator>
 
 #include "core/runtime.hpp"
 #include "simnet/fabric.hpp"
@@ -146,6 +150,116 @@ TEST_F(RuntimeTest, InlineDeliveryRunsSynchronously) {
   EXPECT_EQ(rt_->counters().inline_deliveries.load(), 1u);
 }
 
+// Every delivery path runs its handler through the same step: a read-only
+// handler leaves the target's dirty generation alone, a mutating one bumps
+// it, and each delivery counts once in messages_executed.
+class DeliveryPathTest : public RuntimeTest {
+ protected:
+  DeliveryPathTest() {
+    h_read_ = registry_.register_handler(
+        type_,
+        [this](Runtime&, MobileObject&, MobilePtr, NodeId,
+               util::ByteReader& in) { read_sum_ += in.read<std::uint64_t>(); },
+        /*read_only=*/true);
+  }
+
+  std::uint64_t executed() const {
+    return rt_->counters().messages_executed.load();
+  }
+  std::uint64_t generation(MobilePtr p) {
+    return rt_->peek(p)->dirty_generation();
+  }
+
+  HandlerId h_read_ = 0;
+  std::uint64_t read_sum_ = 0;
+};
+
+TEST_F(DeliveryPathTest, QueuedSendMarksDirtyUnlessReadOnly) {
+  const MobilePtr p = make_box();
+  const auto gen = generation(p);
+  rt_->send(p, h_read_, arg_u64(4));
+  pump();
+  EXPECT_EQ(read_sum_, 4u);
+  EXPECT_EQ(generation(p), gen);
+  EXPECT_EQ(executed(), 1u);
+  rt_->send(p, h_add_, arg_u64(1));
+  pump();
+  EXPECT_GT(generation(p), gen);
+  EXPECT_EQ(executed(), 2u);
+}
+
+TEST_F(DeliveryPathTest, InlineDeliveryMarksDirtyUnlessReadOnly) {
+  const MobilePtr p = make_box();
+  const auto gen = generation(p);
+  EXPECT_TRUE(rt_->try_deliver_inline(p, h_read_, arg_u64(4)));
+  EXPECT_EQ(read_sum_, 4u);
+  EXPECT_EQ(generation(p), gen);
+  EXPECT_EQ(executed(), 1u);
+  EXPECT_TRUE(rt_->try_deliver_inline(p, h_add_, arg_u64(1)));
+  EXPECT_GT(generation(p), gen);
+  EXPECT_EQ(executed(), 2u);
+}
+
+TEST_F(DeliveryPathTest, MulticastMarksDirtyUnlessReadOnly) {
+  const MobilePtr a = make_box();
+  const MobilePtr b = make_box();
+  const MobilePtr c = make_box();
+  const auto gen_a = generation(a);
+  const auto gen_b = generation(b);
+  const auto gen_c = generation(c);
+  // Collects all three, delivers to the first two.
+  rt_->send_multicast({a, b, c}, 2, h_read_, arg_u64(4));
+  pump();
+  EXPECT_EQ(read_sum_, 8u);
+  EXPECT_EQ(generation(a), gen_a);
+  EXPECT_EQ(generation(b), gen_b);
+  EXPECT_EQ(executed(), 2u);
+  rt_->send_multicast({a, b, c}, 2, h_add_, arg_u64(1));
+  pump();
+  EXPECT_GT(generation(a), gen_a);
+  EXPECT_GT(generation(b), gen_b);
+  EXPECT_EQ(generation(c), gen_c);  // collected, not delivered to
+  EXPECT_EQ(executed(), 4u);
+}
+
+TEST_F(RuntimeTest, MulticastHandlerMayIssueAMulticast) {
+  // The inner multicast grows the runtime's list of pending multicasts
+  // while the outer one is being delivered. Under ASan this catches a
+  // delivery loop that reads the outer op from that list afterwards.
+  const MobilePtr a = make_box();
+  const MobilePtr b = make_box();
+  const HandlerId h_fan = registry_.register_handler(
+      type_, [this, b](Runtime& rt, MobileObject&, MobilePtr, NodeId,
+                       util::ByteReader& in) {
+        rt.send_multicast({b}, 1, h_add_, arg_u64(in.read<std::uint64_t>()));
+      });
+  rt_->send_multicast({a}, 1, h_fan, arg_u64(5));
+  pump();
+  EXPECT_EQ(box_at(b).value, 5u);
+  EXPECT_EQ(rt_->counters().messages_executed.load(), 2u);
+}
+
+// Threads of this process, or 0 when the platform does not list them.
+std::size_t thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+TEST(RuntimeThreads, SynchronousStorageStartsNoThread) {
+  net::Fabric fabric(1);
+  ObjectTypeRegistry registry;
+  const std::size_t before = thread_count();
+  if (before == 0) GTEST_SKIP() << "/proc/self/task is not available";
+  RuntimeOptions options;
+  options.synchronous_storage = true;
+  Runtime rt(0, fabric.endpoint(0), registry,
+             std::make_unique<storage::MemStore>(), options);
+  EXPECT_EQ(thread_count(), before);
+}
+
 class SmallBudgetTest : public RuntimeTest {
  protected:
   SmallBudgetTest() : RuntimeTest(1) {}  // 1 MB budget
@@ -193,10 +307,6 @@ TEST_F(SmallBudgetTest, EveryObjectStillReachableUnderChurn) {
     for (MobilePtr p : ptrs) rt_->send(p, h_add_, arg_u64(1));
     pump();
   }
-  for (MobilePtr p : ptrs) {
-    rt_->prefetch(p);
-  }
-  pump();
   for (MobilePtr p : ptrs) {
     rt_->lock_in_core(p);
   }
@@ -249,24 +359,6 @@ TEST_F(SmallBudgetTest, FootprintGrowthTriggersEviction) {
   pump();
   ASSERT_TRUE(rt_->is_in_core(grower));
   EXPECT_EQ(box_at(grower).data.size(), 100000u);
-}
-
-TEST_F(SmallBudgetTest, PrefetchBringsObjectInCore) {
-  std::vector<MobilePtr> ptrs;
-  for (int i = 0; i < 16; ++i) ptrs.push_back(make_box(10000));
-  pump();
-  rt_->flush_stores();
-  MobilePtr cold = kNullPtr;
-  for (MobilePtr p : ptrs) {
-    if (!rt_->is_in_core(p)) {
-      cold = p;
-      break;
-    }
-  }
-  ASSERT_FALSE(cold.is_null());
-  rt_->prefetch(cold);
-  pump();
-  EXPECT_TRUE(rt_->is_in_core(cold));
 }
 
 }  // namespace

@@ -95,7 +95,16 @@ TEST_P(RandomWorkload, EveryMessageAppliedExactlyOnce) {
           }
         }
       } else {
-        cluster.node(src).prefetch(ptrs[i]);
+        // Pin and release at once: the owner loads the object if it is out
+        // of core.
+        for (std::size_t n = 0; n < cluster.size(); ++n) {
+          Runtime& owner = cluster.node(static_cast<NodeId>(n));
+          if (owner.is_local(ptrs[i])) {
+            owner.lock_in_core(ptrs[i]);
+            owner.unlock(ptrs[i]);
+            break;
+          }
+        }
       }
     }
     const auto report = cluster.run();
