@@ -7,7 +7,8 @@
 // bugfixes that ride along: queued_messages_ stays exact across poison
 // drops, a failed write-behind store can never leave an Entry claiming a
 // blob identity for bytes that never landed, and destroying a spilling
-// object leaves no blob behind.
+// object leaves no blob behind. Last, the OOC drivers' end-of-run report
+// pass: exact statistics, and no node pinning all of its cells.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "core/runtime.hpp"
@@ -688,6 +690,42 @@ TEST(SpillPipeline, MessageToAQueuedSpillIsServedByReclaim) {
   EXPECT_EQ(h.rt->write_behind_inflight_bytes(), 0u);
 }
 
+TEST(SpillPipeline, ReclaimNeedsNoFreeLoadSlot) {
+  // C and D have landed blobs; A's store holds the single I/O thread at the
+  // gate and B's store waits behind it. Messages to C and D start two
+  // loads that cannot finish, filling both load slots. A reclaim reads
+  // nothing from the device, so B must still be served from its queued
+  // bytes while the gate stays shut.
+  GatedHarness h;
+  const MobilePtr c = h.make_box(3);
+  const MobilePtr d = h.make_box(4);
+  h.land_reload_and_dirty(10, 20);
+  ASSERT_FALSE(h.rt->is_in_core(c));
+  ASSERT_FALSE(h.rt->is_in_core(d));
+  const std::size_t b_loads = h.gate->loads_of(h.b);
+  const std::uint64_t reclaims = GatedHarness::reclaims();
+  h.hold_a_queue_b();
+
+  h.rt->send(c, h.h_see, std::vector<std::byte>{});
+  h.rt->send(d, h.h_see, std::vector<std::byte>{});
+  for (int i = 0; i < 50; ++i) h.rt->progress_once();
+  ASSERT_EQ(h.seen_value, GatedHarness::kUnseen)
+      << "C or D loaded past the shut gate";
+
+  ASSERT_TRUE(h.see(h.b)) << "B waited for a load slot";
+  EXPECT_EQ(h.seen_value, 20u);
+  EXPECT_EQ(GatedHarness::reclaims() - reclaims, 1u);
+  EXPECT_EQ(h.gate->loads_of(h.b), b_loads);
+  EXPECT_FALSE(h.rt->is_in_core(c));
+  EXPECT_FALSE(h.rt->is_in_core(d));
+
+  h.settle();
+  EXPECT_TRUE(h.rt->is_in_core(c));
+  EXPECT_TRUE(h.rt->is_in_core(d));
+  EXPECT_EQ(h.gate->stores_of(h.b), 1u) << "only B's first spill landed";
+  EXPECT_EQ(h.rt->write_behind_inflight_bytes(), 0u);
+}
+
 TEST(SpillPipeline, MessageToAnExecutingSpillWaitsForItsStore) {
   GatedHarness h;
   h.set_value(h.a, 7);
@@ -890,6 +928,177 @@ TEST(SpillPipeline, MigrationAwayRestoresSpillThreshold) {
       << "soft pressure should evict the unlocked small box";
   EXPECT_GT(rt0->largest_spilled_bytes(), 0u);
   EXPECT_LT(rt0->largest_spilled_bytes(), 20000u);
+}
+
+// ---------------------------------------------------------------------------
+// End-of-run report pass: every OOC driver reduces its mesh statistics
+// through one read-only report message per cell, merged in index order.
+
+enum class Method { kOupdr, kOpcdm, kOnupdr, kOnupdrMulticast };
+
+constexpr double kGoalDeg = 20.0;
+
+pumg::MeshProblem report_problem() {
+  return {mesh::make_pipe_section(1.0, 0.45, 48),
+          {.min_angle_deg = kGoalDeg, .size_field = mesh::uniform_size(0.05)}};
+}
+
+pumg::OocRunResult run_method(Method method, bool deterministic,
+                              std::vector<pumg::Subdomain>* subs) {
+  ClusterOptions cluster;
+  cluster.nodes = 2;
+  // Small enough that every method swaps. The multicast variant needs room
+  // to collect a leaf and its neighbours on one node.
+  cluster.runtime.ooc.memory_budget_bytes = 192u << 10;
+  cluster.spill = SpillMedium::kMemory;
+  cluster.deterministic = deterministic;
+  cluster.max_run_time = std::chrono::seconds(120);
+  const auto problem = report_problem();
+  switch (method) {
+    case Method::kOupdr:
+      return pumg::run_oupdr_ooc(
+          problem, {.cluster = cluster, .nx = 4, .ny = 4}, subs);
+    case Method::kOpcdm:
+      return pumg::run_opcdm_ooc(problem,
+                                 {.cluster = cluster, .strips = 12}, subs);
+    case Method::kOnupdr:
+    case Method::kOnupdrMulticast:
+      return pumg::run_onupdr_ooc(
+          problem,
+          {.cluster = cluster,
+           .leaf_element_budget = 200,
+           .use_multicast = method == Method::kOnupdrMulticast},
+          subs);
+  }
+  return {};
+}
+
+pumg::MeshRunStats serial_fold(const std::vector<pumg::Subdomain>& subs) {
+  pumg::MeshRunStats stats;
+  stats.quality_goal_deg = kGoalDeg;
+  for (const auto& sub : subs) pumg::accumulate_stats(stats, sub);
+  return stats;
+}
+
+void expect_same_stats(const pumg::MeshRunStats& got,
+                       const pumg::MeshRunStats& want) {
+  EXPECT_EQ(got.elements, want.elements);
+  EXPECT_EQ(got.vertices, want.vertices);
+  EXPECT_EQ(got.cells, want.cells);
+  EXPECT_EQ(got.below_goal, want.below_goal);
+  EXPECT_EQ(got.total_area, want.total_area);
+  EXPECT_EQ(got.min_angle_deg, want.min_angle_deg);
+  EXPECT_EQ(got.quality_goal_deg, want.quality_goal_deg);
+}
+
+class ReportPass
+    : public ::testing::TestWithParam<std::tuple<Method, bool>> {};
+
+TEST_P(ReportPass, StatsEqualTheIndexOrderedFoldOverTheCopiedSubdomains) {
+  const auto [method, deterministic] = GetParam();
+  std::vector<pumg::Subdomain> subs;
+  const auto run = run_method(method, deterministic, &subs);
+  ASSERT_FALSE(run.report.timed_out);
+  EXPECT_GT(run.objects_spilled, 0u) << "the budget must force swapping";
+  ASSERT_EQ(subs.size(), run.mesh.cells);
+  expect_same_stats(run.mesh, serial_fold(subs));
+
+  // Without out_subs the pass reports the same numbers. Only the
+  // deterministic driver repeats a run exactly; a threaded run may apply
+  // concurrent splits in another order and mesh differently.
+  const auto bare = run_method(method, deterministic, nullptr);
+  ASSERT_FALSE(bare.report.timed_out);
+  if (deterministic) {
+    expect_same_stats(bare.mesh, run.mesh);
+  } else {
+    EXPECT_EQ(bare.mesh.cells, run.mesh.cells);
+    EXPECT_NEAR(bare.mesh.total_area, run.mesh.total_area, 1e-9);
+  }
+}
+
+std::string report_pass_name(
+    const ::testing::TestParamInfo<ReportPass::ParamType>& info) {
+  static constexpr const char* kNames[] = {"Oupdr", "Opcdm", "Onupdr",
+                                           "OnupdrMulticast"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) ? "Deterministic" : "Threaded");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, ReportPass,
+    ::testing::Combine(::testing::Values(Method::kOupdr, Method::kOpcdm,
+                                         Method::kOnupdr,
+                                         Method::kOnupdrMulticast),
+                       ::testing::Bool()),
+    report_pass_name);
+
+TEST(ReportPassBudget, SwappingOupdrKeepsEveryNodeBelowTheCellsItHosts) {
+  // The report pass locks nothing, so no node ever holds all of its cells
+  // at once: a pass that pinned them would peak at their sum.
+  constexpr std::size_t kNodes = 2;
+  constexpr std::size_t kBudget = 64u << 10;
+  ClusterOptions cluster;
+  cluster.nodes = kNodes;
+  cluster.runtime.ooc.memory_budget_bytes = kBudget;
+  cluster.spill = SpillMedium::kMemory;
+  cluster.max_run_time = std::chrono::seconds(120);
+  const pumg::MeshProblem problem{
+      mesh::make_unit_square(),
+      {.min_angle_deg = kGoalDeg, .size_field = mesh::uniform_size(0.02)}};
+  std::vector<pumg::Subdomain> subs;
+  const auto run = pumg::run_oupdr_ooc(
+      problem, {.cluster = cluster, .nx = 4, .ny = 4}, &subs);
+  ASSERT_FALSE(run.report.timed_out);
+  ASSERT_EQ(run.migrations, 0u) << "cells must stay where they were created";
+
+  // Cells are created round-robin. The copies' footprints are a lower
+  // bound on the cells' in-core bytes (a copy has no spare capacity).
+  std::vector<std::size_t> hosted(kNodes, 0);
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    hosted[i % kNodes] += subs[i].footprint_bytes();
+  }
+  const std::size_t working_set = hosted[0] + hosted[1];
+  ASSERT_GE(working_set, 2 * kNodes * kBudget)
+      << "the working set must be at least twice the aggregate budget";
+  EXPECT_LT(run.peak_in_core_bytes, std::min(hosted[0], hosted[1]))
+      << "a node held every cell it hosts at once";
+}
+
+TEST(ReportPassStats, OnePassMatchesTheTwoPassDefinition) {
+  // The pipe's arcs meet the grid borders at sharp angles, and a goal
+  // above the refinement bound puts many triangles below it.
+  const auto problem = report_problem();
+  const auto decomp = pumg::make_grid(problem.domain, 3, 3);
+  for (const double goal : {0.0, kGoalDeg, 30.0}) {
+    pumg::MeshRunStats one_pass;
+    one_pass.quality_goal_deg = goal;
+    double min_ref = 180.0;
+    std::size_t below_ref = 0;
+    for (const auto& cell : decomp.cells) {
+      pumg::Subdomain sub(problem.domain, cell.rect, cell.extra_border_points);
+      (void)sub.refine(problem.refine);
+      pumg::accumulate_stats(one_pass, sub);
+      if (sub.inside_elements() > 0) {
+        min_ref = std::min(min_ref, sub.min_inside_angle_deg());
+      }
+      if (goal > 0.0) {
+        const auto& t = sub.tri();
+        t.for_each_inside([&](mesh::TriId, const mesh::TriRec& rec) {
+          if (mesh::min_angle_deg(t.point(rec.v[0]), t.point(rec.v[1]),
+                                  t.point(rec.v[2])) < goal - 1e-9) {
+            ++below_ref;
+          }
+        });
+      }
+    }
+    EXPECT_EQ(one_pass.min_angle_deg, min_ref) << "goal " << goal;
+    EXPECT_EQ(one_pass.below_goal, below_ref) << "goal " << goal;
+    if (goal == 30.0) {
+      EXPECT_GT(below_ref, 0u);
+    } else if (goal == 0.0) {
+      EXPECT_EQ(below_ref, 0u);
+    }
+  }
 }
 
 }  // namespace
