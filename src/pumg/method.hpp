@@ -47,6 +47,11 @@ MeshRunStats run_sequential(const MeshProblem& problem,
 /// Accumulates element/angle/area stats over finished subdomains.
 void accumulate_stats(MeshRunStats& stats, const Subdomain& sub);
 
+/// Folds one cell's accumulate_stats() result into `stats`. Merging the
+/// cells' parts in index order gives bit-identical stats to one
+/// accumulate_stats() pass over the same cells in that order.
+void merge_stats(MeshRunStats& stats, const MeshRunStats& part);
+
 /// Verifies that every pair of adjacent cells agrees exactly on the shared
 /// border discretization. Returns an explanation of the first mismatch, or
 /// an empty string when fully conforming.
